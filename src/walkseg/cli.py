@@ -16,9 +16,9 @@ from . import config as cfgmod
 from . import metrics, pnm, synth
 from .errors import (ConvergenceError, DataFormatError, DivergenceError,
                      InvalidInputError)
-from .graph import dump_edges
-from .pipeline import (diffuse, model_transition, oracle_scene,
-                       oracle_transition, predict)
+from .graph import dump_edges, transition
+from .pipeline import (diffuse, model_affinities, oracle_scene,
+                       oracle_transition, predict, prepare_stack)
 from .solver import SolverConfig, bench_step_vs_solve
 from .training import load_checkpoint, save_checkpoint, train
 
@@ -149,15 +149,13 @@ def cmd_infer(args) -> int:
             f"{image.shape[0]} {image.shape[1]} {ckpt.num_classes}\n",
             encoding="utf-8")
     if args.dump_affinity:
-        a = model_transition(ckpt, image, radius, cfg.infer.metric)
-        from .graph import affinity_forward, channel_distances
-        from .pipeline import prepare_stack
-        stack = prepare_stack(image, ckpt.bank)
-        w = affinity_forward(channel_distances(stack, a.pattern), ckpt.theta)
+        pattern, w = model_affinities(ckpt, prepare_stack(image, ckpt.bank),
+                                      radius, cfg.infer.metric)
+        a = transition(pattern, w)
         with open(args.dump_affinity + ".W.txt", "w", encoding="utf-8") as fh:
-            dump_edges(a.pattern, w, fh)
+            dump_edges(pattern, w, fh)
         with open(args.dump_affinity + ".A.txt", "w", encoding="utf-8") as fh:
-            dump_edges(a.pattern, a.values, fh)
+            dump_edges(pattern, a.values, fh)
     print(f"wrote {args.out_labels}")
     return 0
 

@@ -2,23 +2,94 @@
 
 A pixel grid induces a symmetric neighbor pattern: pixel i connects to
 every pixel j != i whose grid coordinates lie within a radius R of i's.
-All per-edge quantities (per-channel feature distances, affinities W,
-transition weights A, ground-truth targets) are flat arrays parallel to
-one shared pattern, stored in CSR order. The transition matrix is the
-row normalization A = D^-1 W with D_ii the sum of row i's off-diagonal
-affinities; its rows are probability distributions over neighbors.
+All per-edge quantities (affinities W, transition weights A, ground-truth
+targets) are flat arrays parallel to one shared pattern, stored in CSR
+order. The transition matrix is the row normalization A = D^-1 W with
+D_ii the sum of row i's off-diagonal affinities; its rows are
+probability distributions over neighbors. Patterns are memoised on
+(height, width, radius, metric), so their arrays are shared and
+read-only.
+
+The pattern is translation-invariant, which the learned affinities use.
+A neighbor offset o = (dy, dx) joins every pixel p of one rectangular
+window of the grid to p + o, so the per-channel L1 distances of its
+edges form one block |S[window] - S[window + o]| of at most h*w rows,
+sliced from the (h, w, k) feature stack S. The mirror offset -o joins
+the same pixel pairs in the opposite direction and in the same order,
+so one block serves both. `learned_affinity`, its backward pass and
+`walk.rw_backward_a` work through the offsets > (0, 0) in this
+offset-major edge order (`OffsetLayout`), the affinity head on short
+runs of consecutive blocks, and map the result to CSR order at the end.
+The E x k distance tensor is never held. `channel_distances` gathers
+that tensor in one piece; it is the reference path the tests compare
+against, not part of the pipeline.
 
 Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
   row normalize   A_ij = W_ij / D_i              ->  dW_ij = (dA_ij - sum_j' dA_ij' A_ij') / D_i
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidInputError
+
+
+# offset blocks are batched into runs whose buffer holds about this many
+# values (1 MiB of float64), so small blocks share one numpy call
+_RUN_VALUES = 1 << 17
+
+
+@dataclass
+class OffsetBlock:
+    """The edges of one offset o = (dy, dx) > (0, 0) and of its mirror -o.
+
+    Offset o joins each pixel of the grid window `src` (a pair of row
+    and column slices) to the pixel at the same place in `dst`, which is
+    `src` shifted by o. These edges take the offset-major slots
+    `start:stop`, row-major over `src`; the mirrored edges take the same
+    slots shifted by `OffsetLayout.half`.
+    """
+
+    src: tuple
+    dst: tuple
+    start: int
+    stop: int
+
+
+@dataclass
+class OffsetLayout:
+    """Offset-major order of a pattern's edges.
+
+    The first `half` slots hold the edges (p, p + o) of every offset
+    o > (0, 0), one block per offset in ascending (dy, dx) order. The
+    last `half` slots hold the mirrored edges (p + o, p) in the same
+    order, so slots t and t + half join the same pixel pair. `slot[e]`
+    is the offset-major slot of CSR edge slot e: an offset-major array
+    `v` reads `v[slot]` in CSR order.
+    """
+
+    blocks: list
+    slot: np.ndarray
+
+    @property
+    def half(self) -> int:
+        return self.slot.size // 2
+
+    def runs(self, capacity: int):
+        """Group consecutive blocks into runs of at most `capacity` edges;
+        a larger block forms a run by itself. Yields lists of blocks."""
+        run = []
+        for block in self.blocks:
+            if run and block.stop - run[0].start > capacity:
+                yield run
+                run = []
+            run.append(block)
+        if run:
+            yield run
 
 
 @dataclass
@@ -39,6 +110,8 @@ class SparsityPattern:
     indices: np.ndarray
     rows: np.ndarray
     reverse: np.ndarray
+    metric: str = "euclidean"
+    _layout: OffsetLayout = field(default=None, repr=False, compare=False)
 
     @property
     def num_pixels(self) -> int:
@@ -53,6 +126,32 @@ class SparsityPattern:
         n = self.num_pixels
         return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
 
+    def offset_layout(self) -> OffsetLayout:
+        """The offset-major edge order, built on first use."""
+        if self._layout is None:
+            self._layout = _offset_layout(self)
+        return self._layout
+
+
+def _offset_windows(height, width, radius, metric):
+    """Yield (dy, dx, y0, y1, x0, x1) for every offset within `radius`
+    that joins at least one pixel pair, in ascending (dy, dx) order.
+
+    Pixel (y, x) with y0 <= y < y1 and x0 <= x < x1 has the neighbor
+    (y + dy, x + dx). The sequence is symmetric: the offset at position
+    t from the end mirrors the one at position t from the start.
+    """
+    span_y = min(int(radius), height - 1)
+    span_x = min(int(radius), width - 1)
+    for dy in range(-span_y, span_y + 1):
+        for dx in range(-span_x, span_x + 1):
+            if dy == 0 and dx == 0:
+                continue
+            if metric == "euclidean" and dy * dy + dx * dx > radius * radius:
+                continue
+            yield (dy, dx, max(0, -dy), height - max(0, dy),
+                   max(0, -dx), width - max(0, dx))
+
 
 def build_sparsity(height: int, width: int, radius: int,
                    metric: str = "euclidean") -> SparsityPattern:
@@ -61,6 +160,9 @@ def build_sparsity(height: int, width: int, radius: int,
     `metric` selects how the offset length is measured: "euclidean"
     (matches the circular neighborhood) or "chebyshev" (square window,
     for ablations). Self-pairs are never included. Deterministic.
+
+    The last few patterns are memoised: equal arguments return the same
+    object, whose arrays are read-only.
     """
     if height < 1 or width < 1:
         raise InvalidInputError(f"bad grid {height}x{width}")
@@ -68,25 +170,14 @@ def build_sparsity(height: int, width: int, radius: int,
         raise InvalidInputError(f"radius must be >= 1, got {radius}")
     if metric not in ("euclidean", "chebyshev"):
         raise InvalidInputError(f"unknown metric {metric!r}")
+    return _build_sparsity(int(height), int(width), radius, metric)
 
-    span = int(radius)
-    offsets = []
-    for dy in range(-span, span + 1):
-        for dx in range(-span, span + 1):
-            if dy == 0 and dx == 0:
-                continue
-            if metric == "euclidean" and dy * dy + dx * dx > radius * radius:
-                continue
-            if metric == "chebyshev" and max(abs(dy), abs(dx)) > radius:
-                continue
-            offsets.append((dy, dx))
 
+@functools.lru_cache(maxsize=4)
+def _build_sparsity(height, width, radius, metric):
     srcs, dsts = [], []
-    for dy, dx in offsets:
-        y0, y1 = max(0, -dy), height - max(0, dy)
-        x0, x1 = max(0, -dx), width - max(0, dx)
-        if y0 >= y1 or x0 >= x1:
-            continue
+    for dy, dx, y0, y1, x0, x1 in _offset_windows(height, width, radius,
+                                                  metric):
         ys = np.arange(y0, y1, dtype=np.int64)
         xs = np.arange(x0, x1, dtype=np.int64)
         base = ys[:, None] * width + xs[None, :]
@@ -108,27 +199,163 @@ def build_sparsity(height: int, width: int, radius: int,
     # edge keys i*n + j are sorted; the mirrored edge lives at key j*n + i
     keys = rows * n + cols
     reverse = np.searchsorted(keys, cols * n + rows)
-    return SparsityPattern(height, width, radius, indptr, cols, rows, reverse)
+    for array in (indptr, cols, rows, reverse):
+        array.setflags(write=False)
+    return SparsityPattern(height, width, radius, indptr, cols, rows, reverse,
+                           metric)
 
 
-def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    """Per-edge, per-channel L1 distances: out[e, c] = |stack_i[c] - stack_j[c]|.
+def _offset_layout(pattern: SparsityPattern) -> OffsetLayout:
+    height, width = pattern.height, pattern.width
+    windows = list(_offset_windows(height, width, pattern.radius,
+                                   pattern.metric))
+    count = len(windows)
+    half = pattern.num_edges // 2
+    blocks = []
+    # offset-major slot of the first edge of each offset's block
+    base = [0] * count
+    for t in range(count // 2, count):  # the offsets > (0, 0)
+        dy, dx, y0, y1, x0, x1 = windows[t]
+        start = blocks[-1].stop if blocks else 0
+        blocks.append(OffsetBlock(
+            (slice(y0, y1), slice(x0, x1)),
+            (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
+            start, start + (y1 - y0) * (x1 - x0)))
+        base[t], base[count - 1 - t] = start, half + start
 
-    Distances are kept separate per channel, one row per edge of the
-    pattern, both edge directions stored.
-    """
+    # slot of CSR edge (i, j) = base of the offset j - i, plus the
+    # row-major position of i inside that offset's source window
+    span_y = min(int(pattern.radius), height - 1)
+    span_x = min(int(pattern.radius), width - 1)
+    table_width = 2 * span_x + 1
+    offset_base = np.zeros((2 * span_y + 1) * table_width, dtype=np.int64)
+    for (dy, dx, *_), start in zip(windows, base):
+        offset_base[(dy + span_y) * table_width + dx + span_x] = start
+    # in place where possible: E runs to millions at the training radius
+    ys, xs = np.divmod(pattern.rows, width)
+    dy, dx = np.divmod(pattern.indices, width)
+    dy -= ys
+    dx -= xs
+    # the window's corner is (max(0, -dy), max(0, -dx)), its width w - |dx|
+    ys += np.minimum(dy, 0)
+    xs += np.minimum(dx, 0)
+    slot = xs
+    slot += ys * (width - np.abs(dx))
+    del ys, xs
+    key = dy
+    key += span_y
+    key *= table_width
+    key += dx
+    key += span_x
+    del dy, dx
+    slot += offset_base[key]
+    slot.setflags(write=False)
+    return OffsetLayout(blocks, slot)
+
+
+def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    """The feature stack as a float64 (height, width, k) array; a flat
+    (pixels, k) stack is accepted too."""
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim == 3:
         if stack.shape[0] * stack.shape[1] != pattern.num_pixels:
             raise InvalidInputError(
                 f"stack {stack.shape[:2]} does not match pattern "
                 f"{pattern.height}x{pattern.width}")
-        flat = stack.reshape(pattern.num_pixels, stack.shape[2])
-    elif stack.ndim == 2 and stack.shape[0] == pattern.num_pixels:
-        flat = stack
-    else:
+    elif not (stack.ndim == 2 and stack.shape[0] == pattern.num_pixels):
         raise InvalidInputError(f"bad stack shape {stack.shape}")
+    return stack.reshape(pattern.height, pattern.width, stack.shape[-1])
+
+
+def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    """Per-edge, per-channel L1 distances: out[e, c] = |stack_i[c] - stack_j[c]|.
+
+    Distances are kept separate per channel, one row per edge of the
+    pattern, both edge directions stored. This gathers the whole E x k
+    tensor; it is the reference for `learned_affinity`, which never
+    holds it.
+    """
+    flat = _pixel_grid(stack, pattern).reshape(pattern.num_pixels, -1)
     return np.abs(flat[pattern.rows] - flat[pattern.indices])
+
+
+def _distance_runs(grid: np.ndarray, layout: OffsetLayout):
+    """Yield (slots, distances) per run of offset blocks: the slice of
+    first-half slots the run covers and its edges' distances
+    |S[src] - S[dst]| as (edges, k) rows. Every run overwrites one
+    shared buffer, so a caller must be done with a run before asking
+    for the next."""
+    k = grid.shape[2]
+    largest = max((b.stop - b.start for b in layout.blocks), default=0)
+    capacity = min(layout.half, max(largest, _RUN_VALUES // max(k, 1)))
+    buffer = np.empty((capacity, k))
+    for run in layout.runs(capacity):
+        first = run[0].start
+        fdist = buffer[:run[-1].stop - first]
+        for block in run:
+            src = grid[block.src]
+            out = fdist[block.start - first:block.stop - first]
+            np.subtract(src, grid[block.dst], out=out.reshape(src.shape))
+        np.abs(fdist, out=fdist)
+        yield slice(first, run[-1].stop), fdist
+
+
+def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
+                     theta: np.ndarray) -> np.ndarray:
+    """Affinities W = exp(F theta) on every edge of `pattern`, in CSR order.
+
+    Equal, up to the rounding of each edge's dot product, to
+    ``affinity_forward(channel_distances(stack, pattern), theta)``, but
+    computed a run of offset blocks at a time (see `OffsetLayout`), so
+    the distances held at once are one block of at most h*w x k, or
+    about 1 MiB where blocks are smaller.
+    A pixel pair's two edges get the same value, so
+    ``w[pattern.reverse] == w`` exactly.
+    """
+    grid = _pixel_grid(stack, pattern)
+    theta = np.asarray(theta, dtype=np.float64)
+    _check_head(grid.shape[2], theta)
+    layout = pattern.offset_layout()
+    half = layout.half
+    w = np.empty(pattern.num_edges)
+    for slots, fdist in _distance_runs(grid, layout):
+        w[slots] = w[half + slots.start:half + slots.stop] = affinity_forward(
+            fdist, theta)
+    return w[layout.slot]
+
+
+def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
+                              w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """dtheta for the affinities `w` that `learned_affinity` returned.
+
+    A pixel pair's two edges share their distances and their affinity,
+    so a run contributes ``affinity_backward(fdist, w_run, dw_run +
+    dw_mirrored_run)``. Runs are summed in a fixed order, so repeated
+    calls are bit-identical.
+    """
+    grid = _pixel_grid(stack, pattern)
+    layout = pattern.offset_layout()
+    half = layout.half
+    w_major = np.empty(pattern.num_edges)
+    w_major[layout.slot] = w
+    dw_major = np.empty(pattern.num_edges)
+    dw_major[layout.slot] = dw
+    dtheta = np.zeros(grid.shape[2])
+    for slots, fdist in _distance_runs(grid, layout):
+        mirrored = slice(half + slots.start, half + slots.stop)
+        dtheta += affinity_backward(fdist, w_major[slots],
+                                    dw_major[slots] + dw_major[mirrored])
+    return dtheta
+
+
+def _check_head(channels: int, theta: np.ndarray) -> None:
+    """The head takes one finite parameter per distance channel."""
+    if not np.all(np.isfinite(theta)):
+        raise InvalidInputError("non-finite affinity parameters")
+    if theta.shape != (channels,):
+        raise InvalidInputError(
+            f"distance tensor has {channels} channels, theta has shape "
+            f"{theta.shape}")
 
 
 def affinity_forward(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -138,12 +365,9 @@ def affinity_forward(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
     exponential; no bias, so the head has exactly k parameters.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(theta)):
-        raise InvalidInputError("non-finite affinity parameters")
-    if fdist.ndim != 2 or fdist.shape[1] != theta.shape[0]:
-        raise InvalidInputError(
-            f"distance tensor has {fdist.shape[1]} channels, theta has "
-            f"{theta.shape[0]}")
+    if fdist.ndim != 2:
+        raise InvalidInputError(f"bad distance tensor shape {fdist.shape}")
+    _check_head(fdist.shape[1], theta)
     with np.errstate(over="ignore"):  # overflow to inf is caught in transition
         return np.exp(fdist @ theta)
 

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .features import per_channel_normalize, extract_features
-from .graph import affinity_forward, build_sparsity, channel_distances, transition
+from .graph import build_sparsity, learned_affinity, transition
 from .metrics import onehot_probabilities, trimap_band
 from .solver import SolverConfig, solve
 from .synth import corrupt_unaries, oracle_affinity
-from .training import ModelCheckpoint
+from .training import ModelCheckpoint, unary_forward
 from .walk import rw_step
 
 
@@ -37,15 +37,21 @@ def prepare_stack(image, bank):
 def model_scores(ckpt: ModelCheckpoint, image):
     """Pre-diffusion class scores of a checkpointed model, (h*w, m)."""
     stack = prepare_stack(image, ckpt.bank)
-    return stack.reshape(-1, ckpt.k) @ ckpt.unary.weights.T + ckpt.unary.bias
+    return unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
+
+
+def model_affinities(ckpt: ModelCheckpoint, stack, radius: int,
+                     metric: str = "euclidean"):
+    """The radius pattern of a feature stack's grid and the checkpoint's
+    learned affinities W on it: (pattern, w)."""
+    pattern = build_sparsity(stack.shape[0], stack.shape[1], radius, metric)
+    return pattern, learned_affinity(stack, pattern, ckpt.theta)
 
 
 def model_transition(ckpt: ModelCheckpoint, image, radius: int,
                      metric: str = "euclidean"):
     stack = prepare_stack(image, ckpt.bank)
-    pattern = build_sparsity(stack.shape[0], stack.shape[1], radius, metric)
-    fdist = channel_distances(stack, pattern)
-    return transition(pattern, affinity_forward(fdist, ckpt.theta))
+    return transition(*model_affinities(ckpt, stack, radius, metric))
 
 
 def diffuse(a, f, steps, cfg: SolverConfig):
@@ -65,11 +71,12 @@ def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
             solver_cfg: SolverConfig = None, metric: str = "euclidean"):
     """Checkpoint inference. Returns (label map, diffused scores)."""
     solver_cfg = solver_cfg or SolverConfig()
-    f = model_scores(ckpt, image)
+    stack = prepare_stack(image, ckpt.bank)
+    f = unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
     if steps == 0:
         y = f
     else:
-        a = model_transition(ckpt, image, radius, metric)
+        a = transition(*model_affinities(ckpt, stack, radius, metric))
         y = diffuse(a, f, steps, solver_cfg)
     labels = np.argmax(y, axis=1).reshape(image.shape[0], image.shape[1])
     return labels, y

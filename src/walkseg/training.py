@@ -18,16 +18,16 @@ checkpoints.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DataFormatError, DivergenceError, InvalidInputError,
                      UnsupportedVersionError)
 from .features import FilterBankConfig, extract_features, per_channel_normalize
-from .graph import (affinity_backward, affinity_forward, affinity_loss_grad,
-                    build_sparsity, channel_distances, ground_truth_affinity,
-                    transition, transition_backward)
+from .graph import (affinity_loss_grad, build_sparsity, ground_truth_affinity,
+                    learned_affinity, learned_affinity_backward, transition,
+                    transition_backward)
 from .walk import rw_backward_a, rw_backward_f, rw_step
 
 CHECKPOINT_MAGIC = b"RWNCKPT1"
@@ -131,7 +131,6 @@ class TrainState:
     vel_weights: np.ndarray
     vel_bias: np.ndarray
     iteration: int = 0
-    pattern_cache: dict = field(default_factory=dict)
 
 
 def init_state(k: int, num_classes: int, seed: int) -> TrainState:
@@ -149,13 +148,6 @@ def sgd_update(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     param += velocity
 
 
-def _cached_pattern(state: TrainState, height, width, radius):
-    key = (height, width, radius)
-    if key not in state.pattern_cache:
-        state.pattern_cache[key] = build_sparsity(height, width, radius)
-    return state.pattern_cache[key]
-
-
 def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
                         bank: FilterBankConfig, pattern):
     """Forward and backward for one (image, labels) sample.
@@ -168,8 +160,7 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     flat = stack.reshape(height * width, k)
     f = unary_forward(flat, unary)
 
-    fdist = channel_distances(stack, pattern)
-    w = affinity_forward(fdist, theta)
+    w = learned_affinity(stack, pattern, theta)
     targets = ground_truth_affinity(labels, pattern)
     aff_loss, dw_aff = affinity_loss_grad(w, targets)
 
@@ -182,7 +173,7 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     da = cfg.alpha * rw_backward_a(pattern, dy, f)
     dw_total = (cfg.seg_loss_weight * transition_backward(a, da)
                 + cfg.aff_loss_weight * dw_aff)
-    dtheta = affinity_backward(fdist, w, dw_total)
+    dtheta = learned_affinity_backward(stack, pattern, w, dw_total)
 
     df *= cfg.seg_loss_weight
     dweights = df.T @ flat
@@ -206,8 +197,8 @@ def train_step(batch, state: TrainState, cfg: TrainConfig,
     g_weights = np.zeros_like(state.unary.weights)
     g_bias = np.zeros_like(state.unary.bias)
     for image, labels in batch:
-        pattern = _cached_pattern(state, labels.shape[0], labels.shape[1],
-                                  cfg.train_radius)
+        pattern = build_sparsity(labels.shape[0], labels.shape[1],
+                                 cfg.train_radius)
         seg, aff, dtheta, dweights, dbias = sample_losses_grads(
             image, labels, state.theta, state.unary, cfg, bank, pattern)
         seg_sum += seg

@@ -48,11 +48,27 @@ def rw_backward_f(a: TransitionMatrix, dy: np.ndarray) -> np.ndarray:
 def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
                   f: np.ndarray) -> np.ndarray:
     """Gradient into the affinity branch: dA_ij = dY_i . f_j, computed only
-    on the pattern's edges."""
+    on the pattern's edges.
+
+    Runs one offset pair at a time (see `graph.OffsetLayout`): for the
+    pixel pairs (p, p + o) of one offset o, dA is the per-pixel dot of
+    the slices dY[window] and f[window + o], and the mirror offset -o
+    takes dY[window + o] . f[window].
+    """
     dy = np.asarray(dy, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if dy.shape != f.shape or dy.ndim != 2 or dy.shape[0] != pattern.num_pixels:
         raise InvalidInputError(
             f"gradient {dy.shape} / scores {f.shape} do not match "
             f"{pattern.num_pixels} pixels")
-    return np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.indices])
+    grid_shape = (pattern.height, pattern.width, dy.shape[1])
+    dy, f = dy.reshape(grid_shape), f.reshape(grid_shape)
+    layout = pattern.offset_layout()
+    half = layout.half
+    da = np.empty(pattern.num_edges)
+    for block in layout.blocks:
+        da[block.start:block.stop] = np.einsum(
+            "...c,...c->...", dy[block.src], f[block.dst]).ravel()
+        da[half + block.start:half + block.stop] = np.einsum(
+            "...c,...c->...", dy[block.dst], f[block.src]).ravel()
+    return da[layout.slot]

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walkseg import pnm
+from walkseg import pipeline, pnm
 from walkseg.cli import main
 from walkseg.config import (Config, PRESETS, apply_overrides, apply_preset,
                             parse_config, serialize_config)
 from walkseg.errors import DataFormatError
+from walkseg.graph import affinity_forward, channel_distances
 from walkseg.pipeline import predict
 from walkseg.solver import SolverConfig
 from walkseg.training import load_checkpoint
@@ -194,8 +195,9 @@ def test_infer_converge_matches_solver(smoke_workspace, tmp_path):
 def test_infer_affinity_dump(smoke_workspace, tmp_path):
     root, data, ckpt, _, overrides = smoke_workspace
     prefix = str(tmp_path / "edges")
+    image_path = data / "test" / "img000.ppm"
     assert main(["infer", *overrides, "--checkpoint", str(ckpt),
-                 "--image", str(data / "test" / "img000.ppm"),
+                 "--image", str(image_path),
                  "--out-labels", str(tmp_path / "p.pgm"),
                  "--radius", "2", "--dump-affinity", prefix]) == 0
     w_lines = Path(prefix + ".W.txt").read_text().splitlines()
@@ -203,6 +205,33 @@ def test_infer_affinity_dump(smoke_workspace, tmp_path):
     assert len(w_lines) == len(a_lines) > 0
     i, j, value = w_lines[0].split()
     assert float(value) > 0
+    # W matches the gather reference, A the model's transition matrix
+    dumped_w = np.loadtxt(prefix + ".W.txt", ndmin=2)
+    dumped_a = np.loadtxt(prefix + ".A.txt", ndmin=2)
+    model = load_checkpoint(ckpt)
+    image = pnm.read_ppm(image_path)
+    a = pipeline.model_transition(model, image, 2)
+    np.testing.assert_array_equal(dumped_w[:, 0], a.pattern.rows)
+    np.testing.assert_array_equal(dumped_w[:, 1], a.pattern.indices)
+    stack = pipeline.prepare_stack(image, model.bank)
+    reference = affinity_forward(channel_distances(stack, a.pattern),
+                                 model.theta)
+    np.testing.assert_allclose(dumped_w[:, 2], reference, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(dumped_a[:, 2], a.values)
+
+
+def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
+                                         monkeypatch):
+    root, data, ckpt, _, overrides = smoke_workspace
+    calls = []
+    extract = pipeline.extract_features
+    monkeypatch.setattr(pipeline, "extract_features",
+                        lambda *args: calls.append(1) or extract(*args))
+    assert main(["infer", *overrides, "--checkpoint", str(ckpt),
+                 "--image", str(data / "test" / "img000.ppm"),
+                 "--out-labels", str(tmp_path / "p.pgm"),
+                 "--radius", "2"]) == 0
+    assert len(calls) == 1
 
 
 def test_eval_perfect_predictions(smoke_workspace, tmp_path):

@@ -1,8 +1,10 @@
+import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (numerical_gradient, random_stack, random_transition,
@@ -12,10 +14,11 @@ from walkseg.features import per_channel_normalize
 from walkseg.graph import (affinity_backward, affinity_forward,
                            affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
-                           ground_truth_affinity, transition,
+                           ground_truth_affinity, learned_affinity,
+                           learned_affinity_backward, transition,
                            transition_backward)
 from walkseg.training import softmax_loss_grad, unary_forward, init_unary
-from walkseg.walk import rw_step
+from walkseg.walk import rw_backward_a, rw_step
 
 # ---------------------------------------------------------------------------
 # sparsity pattern
@@ -72,6 +75,19 @@ def test_pattern_invariants(h, w, r):
             if 0 < dy * dy + dx * dx <= r * r:
                 expected += max(0, h - abs(dy)) * max(0, w - abs(dx))
     assert pattern.num_edges == expected
+
+
+def test_pattern_is_memoised_and_read_only():
+    pattern = build_sparsity(5, 7, 2)
+    assert build_sparsity(5, 7, 2) is pattern
+    assert build_sparsity(np.int64(5), np.int64(7), 2, "euclidean") is pattern
+    assert build_sparsity(5, 7, 2, metric="chebyshev") is not pattern
+    arrays = (pattern.indptr, pattern.indices, pattern.rows, pattern.reverse,
+              pattern.offset_layout().slot)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +154,80 @@ def test_affinity_symmetry_preserved():
                          np.array([-1.0, 0.5, -0.2]))
     np.testing.assert_array_equal(w[pattern.reverse], w)
     assert np.all(w > 0)
+
+
+# ---------------------------------------------------------------------------
+# offset-major affinity layer against the gather reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 9),
+       metric=st.sampled_from(["euclidean", "chebyshev"]),
+       k=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+@example(h=1, w=7, r=3, metric="euclidean", k=1, m=2, seed=0)
+@example(h=7, w=1, r=9, metric="chebyshev", k=3, m=1, seed=1)
+@example(h=5, w=6, r=9, metric="euclidean", k=4, m=3, seed=2)
+@example(h=1, w=1, r=2, metric="euclidean", k=2, m=1, seed=3)
+def test_offset_major_layer_matches_gather(h, w, r, metric, k, m, seed):
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r, metric)
+    stack = rng.uniform(0.0, 1.0, (h, w, k))
+    theta = rng.normal(0.0, 1.0, k)
+
+    # the layout lists every edge once, each offset pair block by block
+    layout = pattern.offset_layout()
+    pixels = np.arange(h * w).reshape(h, w)
+    src = [pixels[b.src].ravel() for b in layout.blocks] or [np.empty(0, int)]
+    dst = [pixels[b.dst].ravel() for b in layout.blocks] or [np.empty(0, int)]
+    major_rows = np.concatenate(src + dst)
+    major_cols = np.concatenate(dst + src)
+    np.testing.assert_array_equal(major_rows[layout.slot], pattern.rows)
+    np.testing.assert_array_equal(major_cols[layout.slot], pattern.indices)
+
+    fdist = channel_distances(stack, pattern)
+    w_ref = affinity_forward(fdist, theta)
+    w_new = learned_affinity(stack, pattern, theta)
+    np.testing.assert_array_equal(w_new[pattern.reverse], w_new)
+    np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
+
+    dw = rng.standard_normal(pattern.num_edges)
+    dtheta = learned_affinity_backward(stack, pattern, w_new, dw)
+    assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
+
+    dy = rng.standard_normal((h * w, m))
+    f = rng.standard_normal((h * w, m))
+    np.testing.assert_array_equal(
+        rw_backward_a(pattern, dy, f),
+        np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.indices]))
+
+
+def test_offset_major_layer_memory_at_paper_radius():
+    """Forward and backward at 32x32, R40, k = 131 stay far below the
+    1.1 GB that the gathered E x k distance tensor takes."""
+    rng = np.random.default_rng(0)
+    # a fresh copy of the memoised pattern, so the lazy layout is counted
+    pattern = dataclasses.replace(build_sparsity(32, 32, 40), _layout=None)
+    stack = rng.uniform(0.0, 1.0, (32, 32, 131))
+    theta = np.full(131, -1.0 / 131)
+    tracemalloc.start()
+    try:
+        w = learned_affinity(stack, pattern, theta)
+        learned_affinity_backward(stack, pattern, w, np.ones_like(w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_learned_affinity_rejects_bad_parameters():
+    pattern = build_sparsity(3, 3, 1)
+    stack = random_stack(3, 3, 2)
+    with pytest.raises(InvalidInputError):
+        learned_affinity(stack, pattern, np.array([1.0, np.inf]))
+    with pytest.raises(InvalidInputError):
+        learned_affinity(stack, pattern, np.ones(3))
+    with pytest.raises(InvalidInputError):
+        learned_affinity(random_stack(2, 3, 2), pattern, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
