@@ -7,6 +7,7 @@ little-endian.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,9 +18,9 @@ from . import metrics, pnm, synth
 from .errors import (ConvergenceError, DataFormatError, DivergenceError,
                      InvalidInputError)
 from .graph import dump_edges, transition
-from .pipeline import (diffuse, model_affinities, oracle_scene,
+from .pipeline import (argmax_labels, diffuse, model_affinities, oracle_scene,
                        oracle_transition, predict, prepare_stack)
-from .solver import SolverConfig, bench_step_vs_solve
+from .solver import bench_step_vs_solve
 from .training import load_checkpoint, save_checkpoint, train
 
 
@@ -111,6 +112,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _parse_int(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag} takes integers: {exc}")
+
+
 def _parse_steps(text: str):
     if text == "converge":
         return text
@@ -127,10 +135,9 @@ def cmd_infer(args) -> int:
     cfg = _load_cfg(args)
     ckpt = load_checkpoint(args.checkpoint)
     image = pnm.read_ppm(args.image)
-    solver_cfg = SolverConfig(
+    solver_cfg = dataclasses.replace(
+        cfg.solver,
         alpha=args.alpha if args.alpha is not None else cfg.solver.alpha,
-        tolerance=cfg.solver.tolerance,
-        max_iterations=cfg.solver.max_iterations,
         mode=args.mode or cfg.solver.mode)
     radius = args.radius if args.radius is not None else cfg.infer.radius
     steps = _parse_steps(args.steps)
@@ -197,15 +204,9 @@ def cmd_eval(args) -> int:
             agg[0] += precision
             agg[1] += recall
             agg[2] += 1
-        boundary = metrics.label_boundary_mask(gt)
-        if boundary.any():
-            from scipy.ndimage import distance_transform_edt
-            dist = distance_transform_edt(~boundary)
-            wrong = pred != gt
-            for w in widths:
-                band = dist < w
-                band_hits[w][0] += int(wrong[band].sum())
-                band_hits[w][1] += int(band.sum())
+        for w, wrong, total in metrics.trimap_counts(pred, gt, widths):
+            band_hits[w][0] += wrong
+            band_hits[w][1] += total
 
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write("image,mean_iou,overall_iou,mf,ap\n")
@@ -232,16 +233,13 @@ def cmd_eval(args) -> int:
 
 def _oracle_iou(dataset_labels, cfg, steps, radius):
     scores = []
-    solver_cfg = SolverConfig(alpha=cfg.solver.alpha,
-                              tolerance=cfg.solver.tolerance,
-                              max_iterations=cfg.solver.max_iterations,
-                              mode=cfg.solver.mode)
+    solver_cfg = dataclasses.replace(cfg.solver)
     for labels in dataset_labels:
         damaged, _ = oracle_scene(labels, cfg.corrupt,
                                   num_classes=cfg.scene.num_classes)
         a = oracle_transition(labels, radius, cfg.infer.metric)
         y = diffuse(a, damaged, steps, solver_cfg)
-        pred = np.argmax(y, axis=1).reshape(labels.shape)
+        pred = argmax_labels(y, labels.shape)
         scores.append(metrics.mean_iou(pred, labels, cfg.scene.num_classes))
     return float(np.mean(scores))
 
@@ -252,14 +250,15 @@ def cmd_ablate(args) -> int:
     lines = []
     if args.sweep == "steps":
         tokens = (args.steps or "0,1,2,4,8,16,converge").split(",")
+        sweep = [(token, _parse_steps(token)) for token in tokens]
         lines.append("steps,mean_iou")
-        for token in tokens:
-            steps = token if token == "converge" else int(token)
+        for token, steps in sweep:
             iou = _oracle_iou(labels_list, cfg, steps,
                               args.radius or cfg.infer.radius)
             lines.append(f"{token},{iou:.6f}")
     else:
-        radii = [int(r) for r in (args.radii or "3,5,10,20").split(",")]
+        radii = [_parse_int("--radii", r)
+                 for r in (args.radii or "3,5,10,20").split(",")]
         lines.append("radius,mean_iou")
         for radius in radii:
             iou = _oracle_iou(labels_list, cfg, "converge", radius)
@@ -275,10 +274,10 @@ def _parse_sizes(text: str):
     sizes = []
     for token in text.split(","):
         token = token.strip().lower()
-        if "x" not in token:
+        if token.count("x") != 1:
             raise UsageError(f"size {token!r} is not HxW")
         h, w = token.split("x")
-        sizes.append((int(h), int(w)))
+        sizes.append((_parse_int("--sizes", h), _parse_int("--sizes", w)))
     return sizes
 
 
@@ -286,8 +285,7 @@ def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     sizes = _parse_sizes(args.sizes)
     report = bench_step_vs_solve(sizes, args.radius or cfg.infer.radius,
-                                 cfg.solver, repeats=args.repeats,
-                                 workers=args.workers)
+                                 cfg.solver, repeats=args.repeats)
     text = report.to_csv()
     if args.out_csv:
         Path(args.out_csv).write_text(text, encoding="utf-8")
@@ -363,8 +361,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", default="32x32,64x64")
     p.add_argument("--radius", type=int)
     p.add_argument("--repeats", type=int, default=9)
-    p.add_argument("--workers", type=int, default=1,
-                   help="class-column threads for the step timing")
     p.add_argument("--out-csv")
     p.set_defaults(func=cmd_bench)
     return parser

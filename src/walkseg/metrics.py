@@ -7,6 +7,10 @@ narrow bands around the true label boundaries ("trimap" curves), and
 precision/recall of predicted boundary strength against true boundary
 pixels with greedy one-to-one matching within a pixel tolerance, which
 yields a max F-score and an average precision.
+
+`trimap_counts` is the single banding implementation: `trimap_error`
+derives its per-map rates from it, and `walkseg eval` sums its counts
+over maps for the pooled curve.
 """
 
 import numpy as np
@@ -65,16 +69,35 @@ def label_boundary_mask(labels) -> np.ndarray:
     return mask
 
 
+def _boundary_distance(labels) -> np.ndarray:
+    """Euclidean distance from each pixel to the nearest boundary pixel of
+    `labels`; infinite everywhere on a uniform map, which has none."""
+    boundary = label_boundary_mask(labels)
+    if not boundary.any():
+        return np.full(boundary.shape, np.inf)
+    return distance_transform_edt(~boundary)
+
+
 def trimap_band(labels, width: int) -> np.ndarray:
     """Pixels whose Euclidean distance to the nearest boundary pixel of
     `labels` is below `width`. Bands nest: band(w1) is a subset of
     band(w2) whenever w1 <= w2. A uniform map has an empty band."""
     if width < 1:
         raise InvalidInputError(f"band width must be >= 1, got {width}")
-    boundary = label_boundary_mask(labels)
-    if not boundary.any():
-        return boundary
-    return distance_transform_edt(~boundary) < width
+    return _boundary_distance(labels) < width
+
+
+def trimap_counts(pred, gt, widths):
+    """Misclassified and total pixels inside each band width around gt
+    boundaries: [(width, wrong, total)]."""
+    pred, gt = _check_pair(pred, gt)
+    dist = _boundary_distance(gt)
+    wrong = pred != gt
+    out = []
+    for width in widths:
+        band = dist < width
+        out.append((width, int(wrong[band].sum()), int(band.sum())))
+    return out
 
 
 def trimap_error(pred, gt, widths):
@@ -82,19 +105,8 @@ def trimap_error(pred, gt, widths):
 
     Returns [(width, error_rate)]; an empty band scores 0.
     """
-    pred, gt = _check_pair(pred, gt)
-    boundary = label_boundary_mask(gt)
-    wrong = pred != gt
-    out = []
-    if boundary.any():
-        dist = distance_transform_edt(~boundary)
-        for width in widths:
-            band = dist < width
-            count = int(band.sum())
-            out.append((width, float(wrong[band].sum() / count) if count else 0.0))
-    else:
-        out.extend((width, 0.0) for width in widths)
-    return out
+    return [(width, wrong / total if total else 0.0)
+            for width, wrong, total in trimap_counts(pred, gt, widths)]
 
 
 def _normalize_rows(prob):
@@ -184,7 +196,8 @@ def boundary_pr(strength, gt_boundary, tolerance: float = 2.0,
     boundary pixels within `tolerance`. Returns (max F-score, average
     precision, curve) with curve rows (threshold, precision, recall).
     AP integrates precision over recall by trapezoid, extending the
-    smallest-recall precision down to recall zero.
+    smallest-recall precision down to recall zero. Thresholds that select
+    the same pixels share one matching.
     """
     strength = np.asarray(strength, dtype=np.float64)
     gt_boundary = np.asarray(gt_boundary, dtype=bool)
@@ -198,19 +211,23 @@ def boundary_pr(strength, gt_boundary, tolerance: float = 2.0,
 
     curve = []
     best_f = 0.0
+    mask = None
     for level in range(thresholds, 0, -1):
         tau = level / thresholds
-        mask = strength >= tau
-        pred_points = np.argwhere(mask)
-        if len(pred_points):
-            order = np.argsort(-strength[mask], kind="stable")
-            matched = len(greedy_match_boundaries(
-                pred_points[order], gt_points, tolerance))
-            precision = matched / len(pred_points)
-            recall = matched / len(gt_points)
-        else:
-            precision = 0.0
-            recall = 0.0
+        previous, mask = mask, strength >= tau
+        # the same mask gives the same points in the same order, hence the
+        # same matches: a hard label map is matched once, not per threshold
+        if previous is None or not np.array_equal(mask, previous):
+            pred_points = np.argwhere(mask)
+            if len(pred_points):
+                order = np.argsort(-strength[mask], kind="stable")
+                matched = len(greedy_match_boundaries(
+                    pred_points[order], gt_points, tolerance))
+                precision = matched / len(pred_points)
+                recall = matched / len(gt_points)
+            else:
+                precision = 0.0
+                recall = 0.0
         curve.append((tau, precision, recall))
         if precision + recall > 0.0:
             best_f = max(best_f, 2 * precision * recall / (precision + recall))

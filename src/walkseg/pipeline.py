@@ -78,8 +78,7 @@ def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
     else:
         a = transition(*model_affinities(ckpt, stack, radius, metric))
         y = diffuse(a, f, steps, solver_cfg)
-    labels = np.argmax(y, axis=1).reshape(image.shape[0], image.shape[1])
-    return labels, y
+    return argmax_labels(y, image.shape[:2]), y
 
 
 def oracle_scene(labels, corrupt: CorruptionConfig, num_classes: int = None):
@@ -96,11 +95,6 @@ def oracle_scene(labels, corrupt: CorruptionConfig, num_classes: int = None):
 def oracle_transition(labels, radius: int, metric: str = "euclidean"):
     pattern = build_sparsity(labels.shape[0], labels.shape[1], radius, metric)
     return transition(pattern, oracle_affinity(labels, pattern))
-
-
-def oracle_diffuse(labels, f, steps, radius: int, cfg: SolverConfig):
-    """Diffuse scores with ground-truth-derived affinities."""
-    return diffuse(oracle_transition(labels, radius), f, steps, cfg)
 
 
 def argmax_labels(y, shape):

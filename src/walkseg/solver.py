@@ -17,7 +17,6 @@ columns may be identically zero for absent classes).
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,31 +160,19 @@ def _median_time(fn, repeats: int) -> float:
     return float(np.median(times)) * 1e3
 
 
-def _column_parallel_matvec(a: TransitionMatrix, f: np.ndarray,
-                            pool: ThreadPoolExecutor, workers: int):
-    chunks = np.array_split(np.arange(f.shape[1]), workers)
-    parts = list(pool.map(lambda cols: a.matvec(f[:, cols]), chunks))
-    return np.hstack(parts)
-
-
 def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
                         num_classes: int = 3, repeats: int = 9,
-                        seed: int = 0, workers: int = 1) -> BenchReport:
+                        seed: int = 0) -> BenchReport:
     """Wall-clock one sparse step vs the converged solve vs the dense solve.
 
-    One row per (h, w) in `sizes`. The sparse step is single-threaded by
-    default so timings are comparable across machines; `workers > 1` times
-    a column-parallel sweep instead (class columns are independent, so the
-    result is unchanged). The dense elimination uses whatever the BLAS
-    provides, which only makes the dense side look faster. `dense_ms` is
-    NaN where the dense guard forbids the solve.
+    One row per (h, w) in `sizes`. The sparse step runs on one thread, so
+    timings are comparable across machines. The dense elimination uses
+    whatever the BLAS provides, which only makes the dense side look
+    faster. `dense_ms` is NaN where the dense guard forbids the solve.
     """
     if not sizes:
         raise InvalidInputError("need at least one (h, w) size")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
     rng = np.random.default_rng(seed)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     report = BenchReport()
     for height, width in sizes:
         pattern = build_sparsity(height, width, radius)
@@ -193,11 +180,7 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
         a = transition(pattern, w)
         f = rng.standard_normal((pattern.num_pixels, num_classes))
         a.matvec(f)  # warm the CSR shell before timing
-        if pool is not None:
-            step_ms = _median_time(
-                lambda: _column_parallel_matvec(a, f, pool, workers), repeats)
-        else:
-            step_ms = _median_time(lambda: a.matvec(f), repeats)
+        step_ms = _median_time(lambda: a.matvec(f), repeats)
         begin = time.perf_counter()
         _, iters = diffuse_to_convergence(a, f, cfg)
         solve_ms = (time.perf_counter() - begin) * 1e3
@@ -209,6 +192,4 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
         report.rows.append(BenchRow(pattern.num_pixels, radius,
                                     pattern.num_edges, step_ms, solve_ms,
                                     dense_ms, iters))
-    if pool is not None:
-        pool.shutdown()
     return report

@@ -258,6 +258,36 @@ def test_eval_perfect_predictions(smoke_workspace, tmp_path):
     assert pr_csv.read_text().splitlines()[0] == "threshold,precision,recall"
 
 
+def test_eval_pools_trimap_counts_over_maps(tmp_path):
+    """The pooled trimap rate is summed wrong pixels over summed band
+    pixels, not the mean of the per-map rates."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    # a: 4x6, boundary between columns 2 and 3; bands of 8, 16, 24 pixels;
+    # one wrong pixel, on the boundary
+    gt_a = np.zeros((4, 6), dtype=np.int64)
+    gt_a[:, 3:] = 1
+    pred_a = gt_a.copy()
+    pred_a[0, 3] = 0
+    # b: 5x6, boundary between columns 0 and 1; bands of 10, 15, 20 pixels;
+    # predicted all 0, so columns 1-5 are wrong: 5, 10, 15 inside the bands
+    gt_b = np.zeros((5, 6), dtype=np.int64)
+    gt_b[:, 1:] = 1
+    pred_b = np.zeros_like(gt_b)
+    for name, gt, pred in (("a.pgm", gt_a, pred_a), ("b.pgm", gt_b, pred_b)):
+        pnm.write_pgm(gt_dir / name, gt)
+        pnm.write_pgm(pred_dir / name, pred)
+    trimap_csv = tmp_path / "trimap.csv"
+    assert main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                 "--out-csv", str(tmp_path / "m.csv"),
+                 "--trimap-csv", str(trimap_csv),
+                 "--set", "eval.trimap_max_width=3"]) == 0
+    # 6/18, 11/31, 16/44; the per-map means would be 0.3125, 0.364583, 0.395833
+    assert trimap_csv.read_text().splitlines() == [
+        "width,error", "1,0.333333", "2,0.354839", "3,0.363636"]
+
+
 def test_eval_missing_pair_lists_file(smoke_workspace, tmp_path, capsys):
     root, data, _, _, _ = smoke_workspace
     pred_dir = tmp_path / "preds"
@@ -302,6 +332,23 @@ def test_bench_csv_header_and_timings(tmp_path):
     for line in lines[1:]:
         n_pixels, radius, nnz, step_ms, solve_ms, dense_ms, iters = line.split(",")
         assert float(step_ms) > 0 and float(solve_ms) > 0 and float(dense_ms) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "3xq"],
+    ["bench", "--sizes", "3x4x5"],
+    ["ablate", "--sweep", "radius", "--radii", "3,x"],
+    ["ablate", "--sweep", "steps", "--steps", "0,x"],
+    ["ablate", "--sweep", "steps", "--steps", "0,-1"],
+])
+def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys):
+    _, data, _, _, _ = smoke_workspace
+    if argv[0] == "ablate":
+        argv = [*argv, "--manifest", str(data / "test.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
 
 
 def test_paper_preset_run_header(tmp_path):

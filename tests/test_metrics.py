@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walkseg import metrics
 from walkseg.errors import InvalidInputError
 from walkseg.metrics import (boundary_pr, extract_boundary_strength,
                              greedy_match_boundaries, label_boundary_mask,
                              mean_iou, onehot_probabilities, overall_iou,
-                             trimap_band, trimap_error)
+                             trimap_band, trimap_counts, trimap_error)
 
 # ---------------------------------------------------------------------------
 # region overlap
@@ -84,6 +85,7 @@ def test_trimap_shifted_boundary_error_half_at_width_one():
     (width, err), = trimap_error(pred, gt, [1])
     assert width == 1
     assert err == 0.5  # one side of the two-pixel band is wrong
+    assert trimap_counts(pred, gt, [1, 2]) == [(1, 10, 20), (2, 10, 40)]
 
 
 def test_band_width_one_is_both_boundary_columns():
@@ -133,6 +135,7 @@ def test_uniform_ground_truth_has_empty_bands():
     labels = np.zeros((8, 8), dtype=int)
     assert not trimap_band(labels, 3).any()
     assert trimap_error(labels, labels, [1, 2]) == [(1, 0.0), (2, 0.0)]
+    assert trimap_counts(1 - labels, labels, [1]) == [(1, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +197,65 @@ def test_shift_within_tolerance_keeps_max_f_at_one():
     shifted = np.roll(gt, 1, axis=1)  # move every boundary pixel right
     mf, _, _ = boundary_pr(shifted.astype(float), gt, tolerance=2.0)
     assert mf == 1.0
+
+
+def reference_boundary_pr(strength, gt_boundary, tolerance, thresholds):
+    """Match every threshold's mask afresh; same curve, F and AP rules."""
+    gt_points = np.argwhere(gt_boundary)
+    curve = []
+    for level in range(thresholds, 0, -1):
+        tau = level / thresholds
+        mask = strength >= tau
+        pred_points = np.argwhere(mask)
+        precision = recall = 0.0
+        if len(pred_points):
+            order = np.argsort(-strength[mask], kind="stable")
+            matched = len(greedy_match_boundaries(pred_points[order],
+                                                  gt_points, tolerance))
+            precision = matched / len(pred_points)
+            recall = matched / len(gt_points)
+        curve.append((tau, precision, recall))
+    best_f = max((2 * p * r / (p + r) for _, p, r in curve if p + r > 0.0),
+                 default=0.0)
+    by_recall = sorted(curve, key=lambda row: row[2])
+    ap = float(np.trapezoid([by_recall[0][1]] + [row[1] for row in by_recall],
+                            [0.0] + [row[2] for row in by_recall]))
+    return best_f, ap, curve
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), height=st.integers(2, 10),
+       width=st.integers(2, 10), levels=st.sampled_from([0, 1, 2, 4, 7]),
+       tolerance=st.sampled_from([1.0, 2.0, 3.5]),
+       thresholds=st.sampled_from([1, 5, 20]))
+@example(seed=0, height=8, width=8, levels=1, tolerance=2.0, thresholds=20)
+def test_boundary_pr_matches_per_threshold_reference(seed, height, width,
+                                                     levels, tolerance,
+                                                     thresholds):
+    """Graded (levels 0) and quantised strength maps score exactly as if
+    every threshold were matched on its own."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, (height, width))
+    labels[0, 0], labels[0, 1] = 0, 1  # at least one true boundary
+    strength = rng.random((height, width))
+    if levels:
+        strength = np.round(strength * levels) / levels
+    gt = label_boundary_mask(labels)
+    assert (boundary_pr(strength, gt, tolerance, thresholds)
+            == reference_boundary_pr(strength, gt, tolerance, thresholds))
+
+
+def test_binary_strength_is_matched_once(monkeypatch):
+    calls = []
+    match = metrics.greedy_match_boundaries
+    monkeypatch.setattr(metrics, "greedy_match_boundaries",
+                        lambda *args: calls.append(args) or match(*args))
+    labels = two_region_map(5)
+    strength = extract_boundary_strength(onehot_probabilities(labels, 2),
+                                         labels.shape)
+    mf, _, curve = boundary_pr(strength, label_boundary_mask(labels))
+    assert len(calls) == 1
+    assert len(curve) == 20 and mf == 1.0
 
 
 def test_greedy_matching_is_one_to_one():

@@ -188,22 +188,6 @@ def test_bench_report_shape_and_csv():
         assert row.iters >= 1
 
 
-def test_bench_multithreaded_sweep_runs():
-    report = bench_step_vs_solve([(10, 10)], radius=2, cfg=SolverConfig(),
-                                 num_classes=4, repeats=3, workers=2)
-    assert report.rows[0].step_ms > 0
-
-
-def test_column_parallel_matvec_matches_serial():
-    from concurrent.futures import ThreadPoolExecutor
-    from walkseg.solver import _column_parallel_matvec
-    a, _ = random_transition(5, 5, 2, seed=3)
-    f = np.random.default_rng(2).standard_normal((25, 5))
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        parallel = _column_parallel_matvec(a, f, pool, 3)
-    np.testing.assert_array_equal(parallel, a.matvec(f))
-
-
 def test_doubling_radius_roughly_quadruples_step_time():
     """Edge count scales like the neighborhood area, so doubling the radius
     should land the per-step cost ratio near 4. One retry absorbs scheduler
