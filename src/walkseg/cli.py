@@ -112,6 +112,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --radius and --repeats: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_int(flag: str, text: str) -> int:
     try:
         return int(text)
@@ -249,16 +257,18 @@ def cmd_ablate(args) -> int:
     labels_list = [pnm.read_pgm(lab) for _, lab in _read_manifest(args.manifest)]
     lines = []
     if args.sweep == "steps":
+        radius = args.radius if args.radius is not None else cfg.infer.radius
         tokens = (args.steps or "0,1,2,4,8,16,converge").split(",")
         sweep = [(token, _parse_steps(token)) for token in tokens]
         lines.append("steps,mean_iou")
         for token, steps in sweep:
-            iou = _oracle_iou(labels_list, cfg, steps,
-                              args.radius or cfg.infer.radius)
+            iou = _oracle_iou(labels_list, cfg, steps, radius)
             lines.append(f"{token},{iou:.6f}")
     else:
         radii = [_parse_int("--radii", r)
                  for r in (args.radii or "3,5,10,20").split(",")]
+        if min(radii) < 1:
+            raise UsageError(f"--radii must be >= 1, got {min(radii)}")
         lines.append("radius,mean_iou")
         for radius in radii:
             iou = _oracle_iou(labels_list, cfg, "converge", radius)
@@ -284,8 +294,9 @@ def _parse_sizes(text: str):
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     sizes = _parse_sizes(args.sizes)
-    report = bench_step_vs_solve(sizes, args.radius or cfg.infer.radius,
-                                 cfg.solver, repeats=args.repeats)
+    radius = args.radius if args.radius is not None else cfg.infer.radius
+    report = bench_step_vs_solve(sizes, radius, cfg.solver,
+                                 repeats=args.repeats)
     text = report.to_csv()
     if args.out_csv:
         Path(args.out_csv).write_text(text, encoding="utf-8")
@@ -329,7 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-probs")
     p.add_argument("--steps", default="converge",
                    help="walk steps, or 'converge'")
-    p.add_argument("--radius", type=int)
+    p.add_argument("--radius", type=_positive_int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--mode", choices=("iterate", "neumann", "dense_oracle"))
     p.add_argument("--dump-affinity", metavar="PREFIX",
@@ -352,15 +363,16 @@ def build_parser() -> _Parser:
     p.add_argument("--sweep", choices=("steps", "radius"), required=True)
     p.add_argument("--steps", help="comma list for --sweep steps")
     p.add_argument("--radii", help="comma list for --sweep radius")
-    p.add_argument("--radius", type=int, help="fixed radius for --sweep steps")
+    p.add_argument("--radius", type=_positive_int,
+                   help="fixed radius for --sweep steps")
     p.add_argument("--out-csv")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("bench", help="time sparse steps vs solves")
     common(p)
     p.add_argument("--sizes", default="32x32,64x64")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--repeats", type=int, default=9)
+    p.add_argument("--radius", type=_positive_int)
+    p.add_argument("--repeats", type=_positive_int, default=9)
     p.add_argument("--out-csv")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -408,12 +408,16 @@ class TransitionMatrix:
     `values[e]` is A at edge slot e, `degree[i]` is D_ii (the sum of row
     i's affinities). Rows without neighbors stay empty: such a pixel
     receives nothing from the walk and is held in place by the damped
-    step's (1 - alpha) f term.
+    step's (1 - alpha) f term. `weights` is the W the matrix was built
+    from (the caller's array, not a copy), or None when unknown; the
+    solver tests it for exact symmetry, which `values * degree[rows]`
+    does not reproduce bit for bit.
     """
 
     pattern: SparsityPattern
     values: np.ndarray
     degree: np.ndarray
+    weights: np.ndarray = field(default=None, repr=False, compare=False)
     _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
     _csr_t: sp.csr_matrix = field(default=None, repr=False, compare=False)
 
@@ -454,7 +458,7 @@ def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:
     if np.any(degree[occupied] <= 0.0):
         raise InvalidInputError("row of affinities sums to zero")
     values = w / degree[pattern.rows] if w.size else w.copy()
-    return TransitionMatrix(pattern, values, degree)
+    return TransitionMatrix(pattern, values, degree, w)
 
 
 def transition_backward(a: TransitionMatrix, da: np.ndarray) -> np.ndarray:

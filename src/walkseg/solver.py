@@ -1,5 +1,5 @@
-"""Test-time diffusion: iterate the damped step to its fixed point, or sum
-the geometric series for the closed form.
+"""Test-time diffusion: solve for the fixed point of the damped step, or
+sum the geometric series for the closed form.
 
 With A row-stochastic and 0 <= alpha < 1, the spectral radius of alpha*A is
 at most alpha, so I - alpha*A is invertible and the series
@@ -10,10 +10,28 @@ closed-form quantities coexist:
   plain resolvent:                 y = (I - alpha A)^-1 f
 
 They differ by the uniform positive factor (1 - alpha), so the per-pixel
-argmax is identical. Both are implemented; nothing here silently picks one.
+argmax is identical. `diffuse_to_convergence` returns the first,
+`solve_closed_form` and `dense_oracle_solve` the second. `solve`, the
+entry point the pipeline uses, returns the fixed-point scale in every mode.
 
-Convergence is measured by max-abs change (absolute, not relative: score
-columns may be identically zero for absent classes).
+In its default "iterate" mode `solve` takes one of two paths:
+
+  * the fixed-point loop y <- alpha A y + (1 - alpha) f. Its max-abs
+    change contracts by alpha per sweep, so ||y - y*|| <= alpha / (1 -
+    alpha) ||dy||; it stops when that bound (or ||dy|| itself, for
+    alpha <= 1/2) falls below `tolerance`.
+  * block conjugate gradients, when alpha >= CG_MIN_ALPHA and W is
+    exactly symmetric (learned and oracle affinities are). A = D^-1 W
+    then makes (I - alpha A) y = f the SPD system (D - alpha W) y = D f;
+    with S = D^-1/2 W D^-1/2 it is (I - alpha S) z = D^1/2 f and
+    y = (1 - alpha) D^-1/2 z. The loop needs about log(tol) / log(alpha)
+    sweeps, CG about sqrt(1 / (1 - alpha)) iterations. Because
+    lambda_min(I - alpha S) >= 1 - alpha, the residuals r_c of the
+    class columns bound the error: ||y - y*||_inf <= max_i D_i^-1/2 *
+    max_c ||r_c||_2, and CG stops when that falls below `tolerance`.
+
+Convergence is measured in absolute terms, not relative: score columns
+may be identically zero for absent classes.
 """
 
 import time
@@ -29,6 +47,16 @@ MODES = ("iterate", "neumann", "dense_oracle")
 
 # dense solves above this pixel count are almost certainly a mistake
 DENSE_PIXEL_LIMIT = 4096
+
+# `solve` uses conjugate gradients at and above this alpha when W is
+# symmetric. Measured on 64x64 oracle scenes at R5, tolerance 1e-6, on a
+# 2-core host (median of 8 scenes x 3 runs), loop against CG: 27 against
+# 28 ms at alpha 0.5 (14 sweeps, 13 products), 29 against 29 ms at 0.6,
+# 44 against 35 ms at 0.7, 132 against 61 ms at 0.9 and 1190 against
+# 174 ms at 0.99 (717 sweeps, 80-87 products). Random 5-channel feature
+# affinities cross at the same place: 25 against 28 ms at 0.5, 35
+# against 32 ms at 0.6.
+CG_MIN_ALPHA = 0.6
 
 
 @dataclass
@@ -55,23 +83,79 @@ class SolverConfig:
 
 def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
                            cfg: SolverConfig):
-    """Iterate y <- alpha A y + (1 - alpha) f from y = f until the sweep
-    changes no entry by more than `tolerance`.
+    """Iterate y <- alpha A y + (1 - alpha) f from y = f until the error
+    bound max|dy| * max(1, alpha / (1 - alpha)) falls below `tolerance`.
 
-    Returns (fixed point, iterations used). The result equals
-    (1 - alpha) (I - alpha A)^-1 f up to the tolerance.
+    Returns (fixed point, iterations used). The max-abs change contracts
+    by alpha per sweep, so the result is within alpha / (1 - alpha) *
+    max|dy| < `tolerance` (max-abs) of (1 - alpha) (I - alpha A)^-1 f.
     """
     f = _check_scores(a, f)
+    factor = max(1.0, cfg.alpha / (1.0 - cfg.alpha))
     y = f
     for iteration in range(1, cfg.max_iterations + 1):
         y_next = rw_step(a, f, y, cfg.alpha)
         delta = float(np.max(np.abs(y_next - y))) if y.size else 0.0
         y = y_next
-        if delta < cfg.tolerance:
+        if delta * factor < cfg.tolerance:
             return y, iteration
     raise ConvergenceError(
         f"no fixed point after {cfg.max_iterations} sweeps "
         f"(last change {delta:.3e})", residual=delta,
+        iterations=cfg.max_iterations)
+
+
+def _symmetric_cg(a: TransitionMatrix, f: np.ndarray,
+                  cfg: SolverConfig) -> np.ndarray:
+    """Block conjugate gradients on (I - alpha S) z = D^1/2 f, one column
+    per class with its own step and beta; returns y = (1 - alpha) D^-1/2 z.
+
+    S x = D^1/2 A (D^-1/2 x) reuses A's CSR. Rows without neighbors take
+    degree 1, so S is zero there and y = (1 - alpha) f, as in the loop.
+    Stops when the error bound max_i D_i^-1/2 * max_c ||r_c||_2 on y is
+    below `tolerance`, confirmed on a recomputed residual.
+    """
+    f = _check_scores(a, f)
+    alpha = cfg.alpha
+    root = np.sqrt(np.where(a.degree > 0.0, a.degree, 1.0))[:, None]
+    inv_root = 1.0 / root
+    alpha_root = alpha * root
+    scale = float(inv_root.max())
+
+    def apply(x):
+        return x - alpha_root * a.matvec(inv_root * x)
+
+    def bound(rr):
+        return scale * float(np.sqrt(rr.max())) if rr.size else 0.0
+
+    b = root * f
+    z = b / (1.0 - alpha)  # y = f, the loop's starting point
+    r = b - apply(z)
+    p = r
+    rr = np.einsum("ij,ij->j", r, r)
+    if bound(rr) < cfg.tolerance:
+        return (1.0 - alpha) * inv_root * z
+    for _ in range(cfg.max_iterations):
+        q = apply(p)
+        pq = np.einsum("ij,ij->j", p, q)
+        step = rr / np.where(pq > 0.0, pq, 1.0)
+        z = z + step * p
+        r = r - step * q
+        rr_next = np.einsum("ij,ij->j", r, r)
+        if bound(rr_next) < cfg.tolerance:
+            # the updated residual drifts from b - apply(z); trust the latter
+            r = b - apply(z)
+            rr_next = np.einsum("ij,ij->j", r, r)
+            if bound(rr_next) < cfg.tolerance:
+                return (1.0 - alpha) * inv_root * z
+            p, rr = r, rr_next  # restart from the true residual
+            continue
+        p = r + (rr_next / np.where(rr > 0.0, rr, 1.0)) * p
+        rr = rr_next
+    residual = bound(rr)
+    raise ConvergenceError(
+        f"conjugate gradients not converged after {cfg.max_iterations} "
+        f"iterations (error bound {residual:.3e})", residual=residual,
         iterations=cfg.max_iterations)
 
 
@@ -112,17 +196,26 @@ def dense_oracle_solve(a: TransitionMatrix, f: np.ndarray,
     return np.linalg.solve(system, f)
 
 
+def _symmetric(a: TransitionMatrix) -> bool:
+    w = a.weights
+    return w is not None and np.array_equal(w[a.pattern.reverse], w)
+
+
 def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Run the configured inference path. Note the "iterate" mode returns
-    the damped fixed point, which is (1 - alpha) times the other two modes'
-    result; argmax labelings agree."""
+    """The damped fixed point (1 - alpha) (I - alpha A)^-1 f by the
+    configured mode. "iterate" runs conjugate gradients when alpha >=
+    CG_MIN_ALPHA and W is exactly symmetric, and the fixed-point loop
+    otherwise; "neumann" and "dense_oracle" scale their resolvent by
+    (1 - alpha)."""
     cfg.validate()
-    if cfg.mode == "iterate":
-        y, _ = diffuse_to_convergence(a, f, cfg)
-        return y
     if cfg.mode == "neumann":
-        return solve_closed_form(a, f, cfg)
-    return dense_oracle_solve(a, f, cfg.alpha)
+        return (1.0 - cfg.alpha) * solve_closed_form(a, f, cfg)
+    if cfg.mode == "dense_oracle":
+        return (1.0 - cfg.alpha) * dense_oracle_solve(a, f, cfg.alpha)
+    if cfg.alpha >= CG_MIN_ALPHA and _symmetric(a):
+        return _symmetric_cg(a, f, cfg)
+    y, _ = diffuse_to_convergence(a, f, cfg)
+    return y
 
 
 @dataclass
@@ -172,6 +265,8 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
     """
     if not sizes:
         raise InvalidInputError("need at least one (h, w) size")
+    if repeats < 1:
+        raise InvalidInputError("repeats must be >= 1")
     rng = np.random.default_rng(seed)
     report = BenchReport()
     for height, width in sizes:

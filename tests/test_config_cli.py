@@ -192,6 +192,24 @@ def test_infer_converge_matches_solver(smoke_workspace, tmp_path):
     np.testing.assert_array_equal(pnm.read_pgm(out), expected)
 
 
+def test_infer_probabilities_do_not_depend_on_mode(smoke_workspace, tmp_path):
+    """Every --mode returns the damped fixed-point scale, so the dumped
+    probabilities agree to the solver tolerance (at alpha 0.7 "iterate"
+    runs conjugate gradients on the learned, symmetric affinities)."""
+    root, data, ckpt, _, overrides = smoke_workspace
+    dumps = []
+    for mode in ("iterate", "neumann", "dense_oracle"):
+        probs = tmp_path / f"{mode}.f64"
+        assert main(["infer", *overrides, "--checkpoint", str(ckpt),
+                     "--image", str(data / "test" / "img002.ppm"),
+                     "--out-labels", str(tmp_path / f"{mode}.pgm"),
+                     "--out-probs", str(probs), "--alpha", "0.7",
+                     "--mode", mode]) == 0
+        dumps.append(np.frombuffer(probs.read_bytes(), dtype="<f8"))
+    np.testing.assert_allclose(dumps[0], dumps[2], atol=1e-6)
+    np.testing.assert_allclose(dumps[1], dumps[2], atol=1e-6)
+
+
 def test_infer_affinity_dump(smoke_workspace, tmp_path):
     root, data, ckpt, _, overrides = smoke_workspace
     prefix = str(tmp_path / "edges")
@@ -340,11 +358,21 @@ def test_bench_csv_header_and_timings(tmp_path):
     ["ablate", "--sweep", "radius", "--radii", "3,x"],
     ["ablate", "--sweep", "steps", "--steps", "0,x"],
     ["ablate", "--sweep", "steps", "--steps", "0,-1"],
+    ["ablate", "--sweep", "radius", "--radii", "3,0"],
+    ["ablate", "--sweep", "steps", "--radius", "0"],
+    ["bench", "--sizes", "4x4", "--radius", "1", "--repeats", "0"],
+    ["bench", "--sizes", "4x4", "--radius", "-1"],
+    ["infer", "--radius", "0"],
 ])
-def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys):
-    _, data, _, _, _ = smoke_workspace
+def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys,
+                                              tmp_path):
+    _, data, ckpt, _, _ = smoke_workspace
     if argv[0] == "ablate":
         argv = [*argv, "--manifest", str(data / "test.txt")]
+    if argv[0] == "infer":
+        argv = [*argv, "--checkpoint", str(ckpt),
+                "--image", str(data / "test" / "img000.ppm"),
+                "--out-labels", str(tmp_path / "out.pgm")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_image_transition, random_transition
 from walkseg.errors import ConvergenceError, InvalidInputError
@@ -139,12 +141,78 @@ def test_solve_dispatches_all_modes():
     y_fix = solve(a, f, SolverConfig(mode="iterate", **cfg))
     y_ser = solve(a, f, SolverConfig(mode="neumann", **cfg))
     y_den = solve(a, f, SolverConfig(mode="dense_oracle", **cfg))
-    np.testing.assert_allclose(y_fix / 0.7, y_ser, atol=1e-9)
+    np.testing.assert_allclose(y_fix, y_ser, atol=1e-9)
     np.testing.assert_allclose(y_ser, y_den, atol=1e-9)
     bad = SolverConfig(**cfg)
     bad.mode = "nonsense"
     with pytest.raises(InvalidInputError):
         solve(a, f, bad)
+
+
+def symmetric_transition(height, width, radius, seed):
+    """Transition over random affinities with w[reverse] == w exactly."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(height, width, radius)
+    w = rng.uniform(0.2, 2.0, pattern.num_edges)
+    return transition(pattern, np.maximum(w, w[pattern.reverse]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 8), w=st.integers(1, 8), r=st.integers(1, 3),
+       alpha=st.floats(0.5, 0.999), m=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, alpha=0.99, m=2, seed=0)
+@example(h=1, w=8, r=2, alpha=0.999, m=3, seed=1)
+@example(h=7, w=1, r=1, alpha=0.9, m=1, seed=2)
+@example(h=3, w=4, r=3, alpha=0.95, m=4, seed=3)
+@example(h=2, w=2, r=3, alpha=0.6, m=2, seed=4)
+def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed):
+    """At large alpha `solve` (conjugate gradients on symmetric W, the loop
+    below the crossover) lands within `tolerance` of the exact damped
+    fixed point."""
+    a = symmetric_transition(h, w, r, seed)
+    f = np.random.default_rng(seed).standard_normal((a.num_pixels, m))
+    cfg = SolverConfig(alpha=alpha)
+    exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
+    assert np.max(np.abs(solve(a, f, cfg) - exact)) < cfg.tolerance
+
+
+def test_asymmetric_affinities_keep_the_loop():
+    a, w = random_transition(3, 3, 1, seed=12)
+    assert not np.array_equal(w[a.pattern.reverse], w)
+    f = np.random.default_rng(8).standard_normal((9, 3))
+    cfg = SolverConfig(alpha=0.99)
+    y, _ = diffuse_to_convergence(a, f, cfg)
+    np.testing.assert_array_equal(solve(a, f, cfg), y)
+
+
+def test_conjugate_gradient_budget_exhaustion_reports_bound():
+    a = symmetric_transition(6, 6, 2, seed=13)
+    f = np.random.default_rng(9).standard_normal((36, 2))
+    with pytest.raises(ConvergenceError) as err:
+        solve(a, f, SolverConfig(alpha=0.99, max_iterations=2))
+    assert err.value.residual > 0
+    assert err.value.iterations == 2
+
+
+def test_oracle_scene_at_large_alpha_meets_tolerance():
+    """The fixed-point loop's old stop rule, max|dy| < 1e-6, left this scene
+    about 3e-5 away from the dense solve at alpha 0.99. Conjugate gradients
+    get there in far fewer products with A than the loop's sweeps."""
+    (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
+    damaged, _ = oracle_scene(labels, CorruptionConfig(seed=0), 4)
+    a = oracle_transition(labels, 5)
+    cfg = SolverConfig(alpha=0.99)
+    exact = (1.0 - cfg.alpha) * dense_oracle_solve(a, damaged, cfg.alpha)
+    products = []
+    matvec = a.matvec
+    a.matvec = lambda x: products.append(1) or matvec(x)
+    y = solve(a, damaged, cfg)
+    assert np.max(np.abs(y - exact)) < 1e-6
+    cg_products = len(products)
+    y_loop, sweeps = diffuse_to_convergence(a, damaged, cfg)
+    assert np.max(np.abs(y_loop - exact)) < 1e-6
+    assert cg_products < sweeps / 4
 
 
 def test_accuracy_improves_monotonically_with_steps():
