@@ -16,10 +16,13 @@ window of the grid to p + o, so the per-channel L1 distances of its
 edges form one block |S[window] - S[window + o]| of at most h*w rows,
 sliced from the (h, w, k) feature stack S. The mirror offset -o joins
 the same pixel pairs in the opposite direction and in the same order,
-so one block serves both. `learned_affinity`, its backward pass and
-`walk.rw_backward_a` work through the offsets > (0, 0) in this
-offset-major edge order (`OffsetLayout`), the affinity head on short
-runs of consecutive blocks, and map the result to CSR order at the end.
+so one block serves both. The pattern is built by one enumeration of
+the offsets > (0, 0), which lists the edges offset-major, and one sort
+of that list into CSR order, whose permutation maps the one order to
+the other (`SparsityPattern.slot`). `learned_affinity`, its backward
+pass and `walk.rw_backward_a` work through the offset blocks in the
+offset-major order, the affinity head on short runs of consecutive
+blocks, and map the result to CSR order at the end.
 The E x k distance tensor is never held. `channel_distances` gathers
 that tensor in one piece; it is the reference path the tests compare
 against, not part of the pipeline.
@@ -51,45 +54,13 @@ class OffsetBlock:
     and column slices) to the pixel at the same place in `dst`, which is
     `src` shifted by o. These edges take the offset-major slots
     `start:stop`, row-major over `src`; the mirrored edges take the same
-    slots shifted by `OffsetLayout.half`.
+    slots shifted by half the pattern's edge count.
     """
 
     src: tuple
     dst: tuple
     start: int
     stop: int
-
-
-@dataclass
-class OffsetLayout:
-    """Offset-major order of a pattern's edges.
-
-    The first `half` slots hold the edges (p, p + o) of every offset
-    o > (0, 0), one block per offset in ascending (dy, dx) order. The
-    last `half` slots hold the mirrored edges (p + o, p) in the same
-    order, so slots t and t + half join the same pixel pair. `slot[e]`
-    is the offset-major slot of CSR edge slot e: an offset-major array
-    `v` reads `v[slot]` in CSR order.
-    """
-
-    blocks: list
-    slot: np.ndarray
-
-    @property
-    def half(self) -> int:
-        return self.slot.size // 2
-
-    def runs(self, capacity: int):
-        """Group consecutive blocks into runs of at most `capacity` edges;
-        a larger block forms a run by itself. Yields lists of blocks."""
-        run = []
-        for block in self.blocks:
-            if run and block.stop - run[0].start > capacity:
-                yield run
-                run = []
-            run.append(block)
-        if run:
-            yield run
 
 
 @dataclass
@@ -101,6 +72,16 @@ class SparsityPattern:
     ascending order. ``rows[e]`` is the source pixel of edge slot e and
     ``reverse[e]`` is the slot of the mirrored edge (j, i), so an edge
     array ``v`` is symmetric iff ``v[reverse] == v``.
+
+    One enumeration of the offsets gives both edge orders. In the
+    offset-major order, the first half of the slots holds the edges
+    (p, p + o) of every offset o > (0, 0), one of `blocks` per offset in
+    ascending (dy, dx) order; the second half holds the mirrored edges
+    (p + o, p) in the same order, so slots t and t + num_edges // 2 join
+    the same pixel pair. Sorting that order by (row, column) gives CSR,
+    and the sort permutation is kept as `slot`: ``slot[e]`` is the
+    offset-major slot of CSR edge slot e, so an offset-major array ``v``
+    reads ``v[slot]`` in CSR order.
     """
 
     height: int
@@ -110,8 +91,9 @@ class SparsityPattern:
     indices: np.ndarray
     rows: np.ndarray
     reverse: np.ndarray
-    metric: str = "euclidean"
-    _layout: OffsetLayout = field(default=None, repr=False, compare=False)
+    metric: str
+    blocks: list = field(repr=False)
+    slot: np.ndarray = field(repr=False)
 
     @property
     def num_pixels(self) -> int:
@@ -126,31 +108,22 @@ class SparsityPattern:
         n = self.num_pixels
         return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
 
-    def offset_layout(self) -> OffsetLayout:
-        """The offset-major edge order, built on first use."""
-        if self._layout is None:
-            self._layout = _offset_layout(self)
-        return self._layout
-
 
 def _offset_windows(height, width, radius, metric):
-    """Yield (dy, dx, y0, y1, x0, x1) for every offset within `radius`
-    that joins at least one pixel pair, in ascending (dy, dx) order.
+    """Yield (dy, dx, y0, y1, x0, x1) for every offset (dy, dx) > (0, 0)
+    within `radius` that joins at least one pixel pair, in ascending
+    order.
 
     Pixel (y, x) with y0 <= y < y1 and x0 <= x < x1 has the neighbor
-    (y + dy, x + dx). The sequence is symmetric: the offset at position
-    t from the end mirrors the one at position t from the start.
+    (y + dy, x + dx).
     """
     span_y = min(int(radius), height - 1)
     span_x = min(int(radius), width - 1)
-    for dy in range(-span_y, span_y + 1):
-        for dx in range(-span_x, span_x + 1):
-            if dy == 0 and dx == 0:
-                continue
+    for dy in range(span_y + 1):
+        for dx in range(-span_x if dy else 1, span_x + 1):
             if metric == "euclidean" and dy * dy + dx * dx > radius * radius:
                 continue
-            yield (dy, dx, max(0, -dy), height - max(0, dy),
-                   max(0, -dx), width - max(0, dx))
+            yield dy, dx, 0, height - dy, max(0, -dx), width - max(0, dx)
 
 
 def build_sparsity(height: int, width: int, radius: int,
@@ -175,82 +148,37 @@ def build_sparsity(height: int, width: int, radius: int,
 
 @functools.lru_cache(maxsize=4)
 def _build_sparsity(height, width, radius, metric):
-    srcs, dsts = [], []
+    pixels = np.arange(height * width, dtype=np.int64).reshape(height, width)
+    blocks, srcs, dsts = [], [], []
     for dy, dx, y0, y1, x0, x1 in _offset_windows(height, width, radius,
                                                   metric):
-        ys = np.arange(y0, y1, dtype=np.int64)
-        xs = np.arange(x0, x1, dtype=np.int64)
-        base = ys[:, None] * width + xs[None, :]
-        srcs.append(base.ravel())
-        dsts.append((base + dy * width + dx).ravel())
+        start = blocks[-1].stop if blocks else 0
+        block = OffsetBlock(
+            (slice(y0, y1), slice(x0, x1)),
+            (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
+            start, start + (y1 - y0) * (x1 - x0))
+        blocks.append(block)
+        srcs.append(pixels[block.src].ravel())
+        dsts.append(pixels[block.dst].ravel())
+
+    # offset-major order: the edges (p, p + o), then their mirrors
+    empty = [np.empty(0, dtype=np.int64)]
+    rows = np.concatenate(srcs + dsts or empty)
+    cols = np.concatenate(dsts + srcs or empty)
+    del srcs, dsts
+    slot = np.lexsort((cols, rows))
+    rows, cols = rows[slot], cols[slot]
 
     n = height * width
-    if srcs:
-        rows = np.concatenate(srcs)
-        cols = np.concatenate(dsts)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     # edge keys i*n + j are sorted; the mirrored edge lives at key j*n + i
     keys = rows * n + cols
     reverse = np.searchsorted(keys, cols * n + rows)
-    for array in (indptr, cols, rows, reverse):
+    for array in (indptr, cols, rows, reverse, slot):
         array.setflags(write=False)
     return SparsityPattern(height, width, radius, indptr, cols, rows, reverse,
-                           metric)
-
-
-def _offset_layout(pattern: SparsityPattern) -> OffsetLayout:
-    height, width = pattern.height, pattern.width
-    windows = list(_offset_windows(height, width, pattern.radius,
-                                   pattern.metric))
-    count = len(windows)
-    half = pattern.num_edges // 2
-    blocks = []
-    # offset-major slot of the first edge of each offset's block
-    base = [0] * count
-    for t in range(count // 2, count):  # the offsets > (0, 0)
-        dy, dx, y0, y1, x0, x1 = windows[t]
-        start = blocks[-1].stop if blocks else 0
-        blocks.append(OffsetBlock(
-            (slice(y0, y1), slice(x0, x1)),
-            (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
-            start, start + (y1 - y0) * (x1 - x0)))
-        base[t], base[count - 1 - t] = start, half + start
-
-    # slot of CSR edge (i, j) = base of the offset j - i, plus the
-    # row-major position of i inside that offset's source window
-    span_y = min(int(pattern.radius), height - 1)
-    span_x = min(int(pattern.radius), width - 1)
-    table_width = 2 * span_x + 1
-    offset_base = np.zeros((2 * span_y + 1) * table_width, dtype=np.int64)
-    for (dy, dx, *_), start in zip(windows, base):
-        offset_base[(dy + span_y) * table_width + dx + span_x] = start
-    # in place where possible: E runs to millions at the training radius
-    ys, xs = np.divmod(pattern.rows, width)
-    dy, dx = np.divmod(pattern.indices, width)
-    dy -= ys
-    dx -= xs
-    # the window's corner is (max(0, -dy), max(0, -dx)), its width w - |dx|
-    ys += np.minimum(dy, 0)
-    xs += np.minimum(dx, 0)
-    slot = xs
-    slot += ys * (width - np.abs(dx))
-    del ys, xs
-    key = dy
-    key += span_y
-    key *= table_width
-    key += dx
-    key += span_x
-    del dy, dx
-    slot += offset_base[key]
-    slot.setflags(write=False)
-    return OffsetLayout(blocks, slot)
+                           metric, blocks, slot)
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -279,17 +207,26 @@ def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray
     return np.abs(flat[pattern.rows] - flat[pattern.indices])
 
 
-def _distance_runs(grid: np.ndarray, layout: OffsetLayout):
+def _distance_runs(grid: np.ndarray, pattern: SparsityPattern):
     """Yield (slots, distances) per run of offset blocks: the slice of
     first-half slots the run covers and its edges' distances
     |S[src] - S[dst]| as (edges, k) rows. Every run overwrites one
     shared buffer, so a caller must be done with a run before asking
     for the next."""
     k = grid.shape[2]
-    largest = max((b.stop - b.start for b in layout.blocks), default=0)
-    capacity = min(layout.half, max(largest, _RUN_VALUES // max(k, 1)))
+    largest = max((b.stop - b.start for b in pattern.blocks), default=0)
+    capacity = min(pattern.num_edges // 2,
+                   max(largest, _RUN_VALUES // max(k, 1)))
+    # consecutive blocks share a run of at most `capacity` edges; a
+    # larger block forms a run by itself
+    runs = []
+    for block in pattern.blocks:
+        if runs and block.stop - runs[-1][0].start <= capacity:
+            runs[-1].append(block)
+        else:
+            runs.append([block])
     buffer = np.empty((capacity, k))
-    for run in layout.runs(capacity):
+    for run in runs:
         first = run[0].start
         fdist = buffer[:run[-1].stop - first]
         for block in run:
@@ -306,7 +243,7 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
 
     Equal, up to the rounding of each edge's dot product, to
     ``affinity_forward(channel_distances(stack, pattern), theta)``, but
-    computed a run of offset blocks at a time (see `OffsetLayout`), so
+    computed a run of offset blocks at a time (see `SparsityPattern`), so
     the distances held at once are one block of at most h*w x k, or
     about 1 MiB where blocks are smaller.
     A pixel pair's two edges get the same value, so
@@ -315,13 +252,12 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
     grid = _pixel_grid(stack, pattern)
     theta = np.asarray(theta, dtype=np.float64)
     _check_head(grid.shape[2], theta)
-    layout = pattern.offset_layout()
-    half = layout.half
+    half = pattern.num_edges // 2
     w = np.empty(pattern.num_edges)
-    for slots, fdist in _distance_runs(grid, layout):
+    for slots, fdist in _distance_runs(grid, pattern):
         w[slots] = w[half + slots.start:half + slots.stop] = affinity_forward(
             fdist, theta)
-    return w[layout.slot]
+    return w[pattern.slot]
 
 
 def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
@@ -334,14 +270,13 @@ def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
     calls are bit-identical.
     """
     grid = _pixel_grid(stack, pattern)
-    layout = pattern.offset_layout()
-    half = layout.half
+    half = pattern.num_edges // 2
     w_major = np.empty(pattern.num_edges)
-    w_major[layout.slot] = w
+    w_major[pattern.slot] = w
     dw_major = np.empty(pattern.num_edges)
-    dw_major[layout.slot] = dw
+    dw_major[pattern.slot] = dw
     dtheta = np.zeros(grid.shape[2])
-    for slots, fdist in _distance_runs(grid, layout):
+    for slots, fdist in _distance_runs(grid, pattern):
         mirrored = slice(half + slots.start, half + slots.stop)
         dtheta += affinity_backward(fdist, w_major[slots],
                                     dw_major[slots] + dw_major[mirrored])

@@ -26,9 +26,11 @@ In its default "iterate" mode `solve` takes one of two paths:
     with S = D^-1/2 W D^-1/2 it is (I - alpha S) z = D^1/2 f and
     y = (1 - alpha) D^-1/2 z. The loop needs about log(tol) / log(alpha)
     sweeps, CG about sqrt(1 / (1 - alpha)) iterations. Because
-    lambda_min(I - alpha S) >= 1 - alpha, the residuals r_c of the
-    class columns bound the error: ||y - y*||_inf <= max_i D_i^-1/2 *
-    max_c ||r_c||_2, and CG stops when that falls below `tolerance`.
+    the error of y is (1 - alpha) (I - alpha A)^-1 D^-1/2 r for the
+    residual r of the z system, and (1 - alpha) sum_k alpha^k A^k is
+    nonnegative with row sums <= 1, the residual bounds the error:
+    ||y - y*||_inf <= max_ic |r_ic| / sqrt(D_i), and CG stops when that
+    falls below `tolerance`.
 
 Convergence is measured in absolute terms, not relative: score columns
 may be identically zero for absent classes.
@@ -55,7 +57,10 @@ DENSE_PIXEL_LIMIT = 4096
 # 44 against 35 ms at 0.7, 132 against 61 ms at 0.9 and 1190 against
 # 174 ms at 0.99 (717 sweeps, 80-87 products). Random 5-channel feature
 # affinities cross at the same place: 25 against 28 ms at 0.5, 35
-# against 32 ms at 0.6.
+# against 32 ms at 0.6. These CG times were taken with a looser stop
+# bound (max_i D_i^-1/2 * max_c ||r_c||_2); the per-pixel bound takes
+# 10-20% fewer products on the same scenes (10-12 at 0.5, 68-77 at
+# 0.99), which moves the crossover no further up.
 CG_MIN_ALPHA = 0.6
 
 
@@ -112,47 +117,47 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray,
 
     S x = D^1/2 A (D^-1/2 x) reuses A's CSR. Rows without neighbors take
     degree 1, so S is zero there and y = (1 - alpha) f, as in the loop.
-    Stops when the error bound max_i D_i^-1/2 * max_c ||r_c||_2 on y is
-    below `tolerance`, confirmed on a recomputed residual.
+    Stops when the error bound max_ic |r_ic| / sqrt(D_i) on y is below
+    `tolerance`, confirmed on a recomputed residual.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
     root = np.sqrt(np.where(a.degree > 0.0, a.degree, 1.0))[:, None]
     inv_root = 1.0 / root
     alpha_root = alpha * root
-    scale = float(inv_root.max())
 
     def apply(x):
         return x - alpha_root * a.matvec(inv_root * x)
 
-    def bound(rr):
-        return scale * float(np.sqrt(rr.max())) if rr.size else 0.0
+    def bound(r):
+        # y's error (1 - alpha) (I - alpha A)^-1 D^-1/2 r: that operator is
+        # nonnegative with row sums <= 1
+        return float(np.abs(inv_root * r).max()) if r.size else 0.0
 
     b = root * f
     z = b / (1.0 - alpha)  # y = f, the loop's starting point
     r = b - apply(z)
+    if bound(r) < cfg.tolerance:
+        return (1.0 - alpha) * inv_root * z
     p = r
     rr = np.einsum("ij,ij->j", r, r)
-    if bound(rr) < cfg.tolerance:
-        return (1.0 - alpha) * inv_root * z
     for _ in range(cfg.max_iterations):
         q = apply(p)
         pq = np.einsum("ij,ij->j", p, q)
         step = rr / np.where(pq > 0.0, pq, 1.0)
         z = z + step * p
         r = r - step * q
-        rr_next = np.einsum("ij,ij->j", r, r)
-        if bound(rr_next) < cfg.tolerance:
+        if bound(r) < cfg.tolerance:
             # the updated residual drifts from b - apply(z); trust the latter
             r = b - apply(z)
-            rr_next = np.einsum("ij,ij->j", r, r)
-            if bound(rr_next) < cfg.tolerance:
+            if bound(r) < cfg.tolerance:
                 return (1.0 - alpha) * inv_root * z
-            p, rr = r, rr_next  # restart from the true residual
+            p, rr = r, np.einsum("ij,ij->j", r, r)  # restart from it
             continue
+        rr_next = np.einsum("ij,ij->j", r, r)
         p = r + (rr_next / np.where(rr > 0.0, rr, 1.0)) * p
         rr = rr_next
-    residual = bound(rr)
+    residual = bound(r)
     raise ConvergenceError(
         f"conjugate gradients not converged after {cfg.max_iterations} "
         f"iterations (error bound {residual:.3e})", residual=residual,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import InvalidInputError
-from .graph import SparsityPattern
+from .graph import SparsityPattern, ground_truth_affinity
 
 SHAPE_TYPES = ("ellipse", "rectangle", "polygon")
 
@@ -188,9 +188,4 @@ def oracle_affinity(labels: np.ndarray, pattern: SparsityPattern,
     """Affinities straight from ground truth: 1 for same-label edges,
     `eps` for label-crossing edges. `eps` stays strictly positive so every
     row of the transition matrix remains normalizable."""
-    labels = np.asarray(labels).ravel()
-    if labels.size != pattern.num_pixels:
-        raise InvalidInputError(
-            f"{labels.size} labels for {pattern.num_pixels} pixels")
-    same = labels[pattern.rows] == labels[pattern.indices]
-    return np.where(same, 1.0, eps)
+    return np.maximum(ground_truth_affinity(labels, pattern), eps)

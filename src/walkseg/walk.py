@@ -50,7 +50,7 @@ def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
     """Gradient into the affinity branch: dA_ij = dY_i . f_j, computed only
     on the pattern's edges.
 
-    Runs one offset pair at a time (see `graph.OffsetLayout`): for the
+    Runs one offset pair at a time (see `graph.SparsityPattern`): for the
     pixel pairs (p, p + o) of one offset o, dA is the per-pixel dot of
     the slices dY[window] and f[window + o], and the mirror offset -o
     takes dY[window + o] . f[window].
@@ -63,12 +63,11 @@ def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
             f"{pattern.num_pixels} pixels")
     grid_shape = (pattern.height, pattern.width, dy.shape[1])
     dy, f = dy.reshape(grid_shape), f.reshape(grid_shape)
-    layout = pattern.offset_layout()
-    half = layout.half
+    half = pattern.num_edges // 2
     da = np.empty(pattern.num_edges)
-    for block in layout.blocks:
+    for block in pattern.blocks:
         da[block.start:block.stop] = np.einsum(
             "...c,...c->...", dy[block.src], f[block.dst]).ravel()
         da[half + block.start:half + block.stop] = np.einsum(
             "...c,...c->...", dy[block.dst], f[block.src]).ravel()
-    return da[layout.slot]
+    return da[pattern.slot]

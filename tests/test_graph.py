@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import tracemalloc
 
@@ -11,8 +10,8 @@ from helpers import (numerical_gradient, random_stack, random_transition,
                      rel_error, tiny_feature_setup)
 from walkseg.errors import InvalidInputError
 from walkseg.features import per_channel_normalize
-from walkseg.graph import (affinity_backward, affinity_forward,
-                           affinity_loss_grad, build_sparsity,
+from walkseg.graph import (_build_sparsity, affinity_backward,
+                           affinity_forward, affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
                            ground_truth_affinity, learned_affinity,
                            learned_affinity_backward, transition,
@@ -83,7 +82,7 @@ def test_pattern_is_memoised_and_read_only():
     assert build_sparsity(np.int64(5), np.int64(7), 2, "euclidean") is pattern
     assert build_sparsity(5, 7, 2, metric="chebyshev") is not pattern
     arrays = (pattern.indptr, pattern.indices, pattern.rows, pattern.reverse,
-              pattern.offset_layout().slot)
+              pattern.slot)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -174,15 +173,14 @@ def test_offset_major_layer_matches_gather(h, w, r, metric, k, m, seed):
     stack = rng.uniform(0.0, 1.0, (h, w, k))
     theta = rng.normal(0.0, 1.0, k)
 
-    # the layout lists every edge once, each offset pair block by block
-    layout = pattern.offset_layout()
+    # the blocks list every edge once, each offset pair block by block
     pixels = np.arange(h * w).reshape(h, w)
-    src = [pixels[b.src].ravel() for b in layout.blocks] or [np.empty(0, int)]
-    dst = [pixels[b.dst].ravel() for b in layout.blocks] or [np.empty(0, int)]
+    src = [pixels[b.src].ravel() for b in pattern.blocks] or [np.empty(0, int)]
+    dst = [pixels[b.dst].ravel() for b in pattern.blocks] or [np.empty(0, int)]
     major_rows = np.concatenate(src + dst)
     major_cols = np.concatenate(dst + src)
-    np.testing.assert_array_equal(major_rows[layout.slot], pattern.rows)
-    np.testing.assert_array_equal(major_cols[layout.slot], pattern.indices)
+    np.testing.assert_array_equal(major_rows[pattern.slot], pattern.rows)
+    np.testing.assert_array_equal(major_cols[pattern.slot], pattern.indices)
 
     fdist = channel_distances(stack, pattern)
     w_ref = affinity_forward(fdist, theta)
@@ -205,8 +203,7 @@ def test_offset_major_layer_memory_at_paper_radius():
     """Forward and backward at 32x32, R40, k = 131 stay far below the
     1.1 GB that the gathered E x k distance tensor takes."""
     rng = np.random.default_rng(0)
-    # a fresh copy of the memoised pattern, so the lazy layout is counted
-    pattern = dataclasses.replace(build_sparsity(32, 32, 40), _layout=None)
+    pattern = build_sparsity(32, 32, 40)
     stack = rng.uniform(0.0, 1.0, (32, 32, 131))
     theta = np.full(131, -1.0 / 131)
     tracemalloc.start()
@@ -216,6 +213,19 @@ def test_offset_major_layer_memory_at_paper_radius():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_pattern_build_memory_at_paper_radius():
+    """A fresh 32x32, R40 pattern, offset blocks and slot map included,
+    is built from one enumeration of the offsets in under 64 MB."""
+    tracemalloc.start()
+    try:
+        pattern = _build_sparsity.__wrapped__(32, 32, 40, "euclidean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pattern.num_edges == 1047048
     assert peak < 64 * 2 ** 20
 
 

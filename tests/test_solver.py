@@ -149,28 +149,36 @@ def test_solve_dispatches_all_modes():
         solve(a, f, bad)
 
 
-def symmetric_transition(height, width, radius, seed):
-    """Transition over random affinities with w[reverse] == w exactly."""
+def symmetric_transition(height, width, radius, seed, scale=1.0):
+    """Transition over random affinities with w[reverse] == w exactly.
+    About half the pixels, drawn at random, have their edges' affinities
+    scaled by sqrt(`scale`) (by `scale` between two such pixels)."""
     rng = np.random.default_rng(seed)
     pattern = build_sparsity(height, width, radius)
     w = rng.uniform(0.2, 2.0, pattern.num_edges)
+    s = np.where(rng.random(pattern.num_pixels) < 0.5, scale, 1.0)
+    w = w * np.sqrt(s[pattern.rows] * s[pattern.indices])
     return transition(pattern, np.maximum(w, w[pattern.reverse]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 8), w=st.integers(1, 8), r=st.integers(1, 3),
        alpha=st.floats(0.5, 0.999), m=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 16))
-@example(h=1, w=1, r=1, alpha=0.99, m=2, seed=0)
-@example(h=1, w=8, r=2, alpha=0.999, m=3, seed=1)
-@example(h=7, w=1, r=1, alpha=0.9, m=1, seed=2)
-@example(h=3, w=4, r=3, alpha=0.95, m=4, seed=3)
-@example(h=2, w=2, r=3, alpha=0.6, m=2, seed=4)
-def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed):
+       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1.0, 1e-6]))
+@example(h=1, w=1, r=1, alpha=0.99, m=2, seed=0, scale=1.0)
+@example(h=1, w=8, r=2, alpha=0.999, m=3, seed=1, scale=1.0)
+@example(h=7, w=1, r=1, alpha=0.9, m=1, seed=2, scale=1.0)
+@example(h=3, w=4, r=3, alpha=0.95, m=4, seed=3, scale=1.0)
+@example(h=2, w=2, r=3, alpha=0.6, m=2, seed=4, scale=1.0)
+@example(h=1, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6)
+@example(h=2, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6)
+def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale):
     """At large alpha `solve` (conjugate gradients on symmetric W, the loop
     below the crossover) lands within `tolerance` of the exact damped
-    fixed point."""
-    a = symmetric_transition(h, w, r, seed)
+    fixed point. A small `scale` spreads the degrees from about 1 down to
+    1e-6, where the stop rule must weigh each pixel's residual by its own
+    D_i^-1/2."""
+    a = symmetric_transition(h, w, r, seed, scale)
     f = np.random.default_rng(seed).standard_normal((a.num_pixels, m))
     cfg = SolverConfig(alpha=alpha)
     exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
