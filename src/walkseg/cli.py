@@ -17,9 +17,8 @@ from . import config as cfgmod
 from . import metrics, pnm, synth
 from .errors import (ConvergenceError, DataFormatError, DivergenceError,
                      InvalidInputError)
-from .graph import dump_edges, transition
-from .pipeline import (argmax_labels, diffuse, model_affinities, oracle_scene,
-                       oracle_transition, predict, prepare_stack)
+from .pipeline import (argmax_labels, diffuse, oracle_scene,
+                       oracle_transition, predict)
 from .solver import bench_step_vs_solve
 from .training import load_checkpoint, save_checkpoint, train
 
@@ -150,7 +149,8 @@ def cmd_infer(args) -> int:
     radius = args.radius if args.radius is not None else cfg.infer.radius
     steps = _parse_steps(args.steps)
     labels, scores = predict(ckpt, image, steps=steps, radius=radius,
-                             solver_cfg=solver_cfg, metric=cfg.infer.metric)
+                             solver_cfg=solver_cfg, metric=cfg.infer.metric,
+                             dump_prefix=args.dump_affinity)
     pnm.write_pgm(args.out_labels, labels)
     if args.out_probs:
         shifted = scores - scores.max(axis=1, keepdims=True)
@@ -163,14 +163,6 @@ def cmd_infer(args) -> int:
         sidecar.write_text(
             f"{image.shape[0]} {image.shape[1]} {ckpt.num_classes}\n",
             encoding="utf-8")
-    if args.dump_affinity:
-        pattern, w = model_affinities(ckpt, prepare_stack(image, ckpt.bank),
-                                      radius, cfg.infer.metric)
-        a = transition(pattern, w)
-        with open(args.dump_affinity + ".W.txt", "w", encoding="utf-8") as fh:
-            dump_edges(pattern, w, fh)
-        with open(args.dump_affinity + ".A.txt", "w", encoding="utf-8") as fh:
-            dump_edges(pattern, a.values, fh)
     print(f"wrote {args.out_labels}")
     return 0
 

@@ -2,11 +2,12 @@
 
 A pixel grid induces a symmetric neighbor pattern: pixel i connects to
 every pixel j != i whose grid coordinates lie within a radius R of i's.
-All per-edge quantities (affinities W, transition weights A, ground-truth
-targets) are flat arrays parallel to one shared pattern, stored in CSR
-order. The transition matrix is the row normalization A = D^-1 W with
-D_ii the sum of row i's off-diagonal affinities; its rows are
-probability distributions over neighbors. Patterns are memoised on
+All per-edge quantities (affinities W, transition weights A, their
+gradients, ground-truth targets) are flat arrays parallel to one shared
+pattern, in one edge order, the offset-major order of
+`SparsityPattern`. The transition matrix is the row normalization
+A = D^-1 W with D_ii the sum of row i's off-diagonal affinities; its rows
+are probability distributions over neighbors. Patterns are memoised on
 (height, width, radius, metric), so their arrays are shared and
 read-only.
 
@@ -17,15 +18,19 @@ edges form one block |S[window] - S[window + o]| of at most h*w rows,
 sliced from the (h, w, k) feature stack S. The mirror offset -o joins
 the same pixel pairs in the opposite direction and in the same order,
 so one block serves both. The pattern is built by one enumeration of
-the offsets > (0, 0), which lists the edges offset-major, and one sort
-of that list into CSR order, whose permutation maps the one order to
-the other (`SparsityPattern.slot`). `learned_affinity`, its backward
-pass and `walk.rw_backward_a` work through the offset blocks in the
-offset-major order, the affinity head on short runs of consecutive
-blocks, and map the result to CSR order at the end.
+the offsets > (0, 0), which lists the edges offset-major: the edges
+(p, p + o) block by block, then their mirrors in the same order, so
+slots t and t + E/2 join the same pixel pair. `learned_affinity`, its
+backward pass and `walk.rw_backward_a` work through the offset blocks,
+the affinity head on short runs of consecutive blocks.
 The E x k distance tensor is never held. `channel_distances` gathers
 that tensor in one piece; it is the reference path the tests compare
 against, not part of the pipeline.
+
+The sparse product alone wants CSR order. `SparsityPattern.csr` copies
+an edge array into a scipy CSR matrix through the sort permutation
+`slot`; `TransitionMatrix` builds that matrix once and multiplies by its
+transpose through the zero-copy CSC view.
 
 Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
@@ -67,30 +72,25 @@ class OffsetBlock:
 class SparsityPattern:
     """Symmetric neighbor structure of a height x width pixel grid.
 
-    Edges are directed pairs (i, j) stored in CSR order:
-    ``indices[indptr[i]:indptr[i+1]]`` lists the neighbors of pixel i in
-    ascending order. ``rows[e]`` is the source pixel of edge slot e and
-    ``reverse[e]`` is the slot of the mirrored edge (j, i), so an edge
-    array ``v`` is symmetric iff ``v[reverse] == v``.
+    Edge slot e is the directed pair (rows[e], cols[e]), in offset-major
+    order: the first half of the slots holds the edges (p, p + o) of
+    every offset o > (0, 0), one of `blocks` per offset in ascending
+    (dy, dx) order; the second half holds the mirrored edges (p + o, p)
+    in the same order. So slots t and t + num_edges // 2 join the same
+    pixel pair, and an edge array ``v`` is symmetric iff
+    ``v[:half] == v[half:]``.
 
-    One enumeration of the offsets gives both edge orders. In the
-    offset-major order, the first half of the slots holds the edges
-    (p, p + o) of every offset o > (0, 0), one of `blocks` per offset in
-    ascending (dy, dx) order; the second half holds the mirrored edges
-    (p + o, p) in the same order, so slots t and t + num_edges // 2 join
-    the same pixel pair. Sorting that order by (row, column) gives CSR,
-    and the sort permutation is kept as `slot`: ``slot[e]`` is the
-    offset-major slot of CSR edge slot e, so an offset-major array ``v``
-    reads ``v[slot]`` in CSR order.
+    The CSR bridge of the sparse product: ``indptr[i]:indptr[i + 1]``
+    is the span of pixel i's edges in CSR order (row, then ascending
+    column), and ``slot[c]`` is the offset-major slot of CSR slot c.
     """
 
     height: int
     width: int
     radius: int
     indptr: np.ndarray
-    indices: np.ndarray
     rows: np.ndarray
-    reverse: np.ndarray
+    cols: np.ndarray
     metric: str
     blocks: list = field(repr=False)
     slot: np.ndarray = field(repr=False)
@@ -101,12 +101,15 @@ class SparsityPattern:
 
     @property
     def num_edges(self) -> int:
-        return int(self.indices.size)
+        return int(self.rows.size)
 
     def csr(self, values: np.ndarray) -> sp.csr_matrix:
-        """View an edge-value array as a scipy CSR matrix (no value copy)."""
+        """An edge-value array as a scipy CSR matrix; values and column
+        indices are copied into CSR order."""
         n = self.num_pixels
-        return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+        return sp.csr_matrix(
+            (values[self.slot], self.cols[self.slot], self.indptr),
+            shape=(n, n))
 
 
 def _offset_windows(height, width, radius, metric):
@@ -167,18 +170,14 @@ def _build_sparsity(height, width, radius, metric):
     cols = np.concatenate(dsts + srcs or empty)
     del srcs, dsts
     slot = np.lexsort((cols, rows))
-    rows, cols = rows[slot], cols[slot]
 
     n = height * width
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    # edge keys i*n + j are sorted; the mirrored edge lives at key j*n + i
-    keys = rows * n + cols
-    reverse = np.searchsorted(keys, cols * n + rows)
-    for array in (indptr, cols, rows, reverse, slot):
+    for array in (indptr, rows, cols, slot):
         array.setflags(write=False)
-    return SparsityPattern(height, width, radius, indptr, cols, rows, reverse,
-                           metric, blocks, slot)
+    return SparsityPattern(height, width, radius, indptr, rows, cols, metric,
+                           blocks, slot)
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -204,7 +203,7 @@ def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray
     holds it.
     """
     flat = _pixel_grid(stack, pattern).reshape(pattern.num_pixels, -1)
-    return np.abs(flat[pattern.rows] - flat[pattern.indices])
+    return np.abs(flat[pattern.rows] - flat[pattern.cols])
 
 
 def _distance_runs(grid: np.ndarray, pattern: SparsityPattern):
@@ -239,15 +238,15 @@ def _distance_runs(grid: np.ndarray, pattern: SparsityPattern):
 
 def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
                      theta: np.ndarray) -> np.ndarray:
-    """Affinities W = exp(F theta) on every edge of `pattern`, in CSR order.
+    """Affinities W = exp(F theta) on every edge of `pattern`.
 
     Equal, up to the rounding of each edge's dot product, to
     ``affinity_forward(channel_distances(stack, pattern), theta)``, but
     computed a run of offset blocks at a time (see `SparsityPattern`), so
     the distances held at once are one block of at most h*w x k, or
     about 1 MiB where blocks are smaller.
-    A pixel pair's two edges get the same value, so
-    ``w[pattern.reverse] == w`` exactly.
+    A pixel pair's two edges get the same value, so the two halves of
+    ``w`` are equal exactly.
     """
     grid = _pixel_grid(stack, pattern)
     theta = np.asarray(theta, dtype=np.float64)
@@ -257,7 +256,7 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
     for slots, fdist in _distance_runs(grid, pattern):
         w[slots] = w[half + slots.start:half + slots.stop] = affinity_forward(
             fdist, theta)
-    return w[pattern.slot]
+    return w
 
 
 def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
@@ -271,15 +270,10 @@ def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
     """
     grid = _pixel_grid(stack, pattern)
     half = pattern.num_edges // 2
-    w_major = np.empty(pattern.num_edges)
-    w_major[pattern.slot] = w
-    dw_major = np.empty(pattern.num_edges)
-    dw_major[pattern.slot] = dw
     dtheta = np.zeros(grid.shape[2])
     for slots, fdist in _distance_runs(grid, pattern):
         mirrored = slice(half + slots.start, half + slots.stop)
-        dtheta += affinity_backward(fdist, w_major[slots],
-                                    dw_major[slots] + dw_major[mirrored])
+        dtheta += affinity_backward(fdist, w[slots], dw[slots] + dw[mirrored])
     return dtheta
 
 
@@ -324,7 +318,7 @@ def ground_truth_affinity(labels: np.ndarray,
     if labels.size != pattern.num_pixels:
         raise InvalidInputError(
             f"{labels.size} labels for {pattern.num_pixels} pixels")
-    return (labels[pattern.rows] == labels[pattern.indices]).astype(np.float64)
+    return (labels[pattern.rows] == labels[pattern.cols]).astype(np.float64)
 
 
 def affinity_loss_grad(w: np.ndarray, targets: np.ndarray):
@@ -343,40 +337,37 @@ class TransitionMatrix:
     `values[e]` is A at edge slot e, `degree[i]` is D_ii (the sum of row
     i's affinities). Rows without neighbors stay empty: such a pixel
     receives nothing from the walk and is held in place by the damped
-    step's (1 - alpha) f term. `weights` is the W the matrix was built
-    from (the caller's array, not a copy), or None when unknown; the
-    solver tests it for exact symmetry, which `values * degree[rows]`
-    does not reproduce bit for bit.
+    step's (1 - alpha) f term. `symmetric` says that W was exactly
+    symmetric, which the solver's conjugate gradients need and
+    `values * degree[rows]` does not reproduce bit for bit; `transition`
+    sets it. The CSR copy of the values is built on the first product.
     """
 
     pattern: SparsityPattern
     values: np.ndarray
     degree: np.ndarray
-    weights: np.ndarray = field(default=None, repr=False, compare=False)
+    symmetric: bool = False
     _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
-    _csr_t: sp.csr_matrix = field(default=None, repr=False, compare=False)
 
     @property
     def num_pixels(self) -> int:
         return self.pattern.num_pixels
 
+    def _matrix(self) -> sp.csr_matrix:
+        if self._csr is None:
+            self._csr = self.pattern.csr(self.values)
+        return self._csr
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a dense (n, m) matrix of per-pixel rows."""
-        if self._csr is None:
-            self._csr = self.pattern.csr(self.values)
-        return self._csr @ x
+        return self._matrix() @ x
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """A^T @ x. The pattern is symmetric, so the transpose reuses it
-        with each edge value swapped for its mirror's."""
-        if self._csr_t is None:
-            self._csr_t = self.pattern.csr(self.values[self.pattern.reverse])
-        return self._csr_t @ x
+        """A^T @ x, through the CSC view of A's CSR matrix (no copy)."""
+        return self._matrix().T @ x
 
     def dense(self) -> np.ndarray:
-        if self._csr is None:
-            self._csr = self.pattern.csr(self.values)
-        return self._csr.toarray()
+        return self._matrix().toarray()
 
 
 def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:
@@ -393,7 +384,9 @@ def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:
     if np.any(degree[occupied] <= 0.0):
         raise InvalidInputError("row of affinities sums to zero")
     values = w / degree[pattern.rows] if w.size else w.copy()
-    return TransitionMatrix(pattern, values, degree, w)
+    half = w.size // 2
+    return TransitionMatrix(pattern, values, degree,
+                            np.array_equal(w[:half], w[half:]))
 
 
 def transition_backward(a: TransitionMatrix, da: np.ndarray) -> np.ndarray:
@@ -412,6 +405,8 @@ def transition_backward(a: TransitionMatrix, da: np.ndarray) -> np.ndarray:
 
 
 def dump_edges(pattern: SparsityPattern, values: np.ndarray, fh) -> None:
-    """Write per-edge values as text triplets "i j value", one per line."""
-    for i, j, v in zip(pattern.rows, pattern.indices, values):
+    """Write per-edge values as text triplets "i j value", one per line,
+    sorted by (i, j)."""
+    slot = pattern.slot
+    for i, j, v in zip(pattern.rows[slot], pattern.cols[slot], values[slot]):
         fh.write(f"{i} {j} {float(v)!r}\n")

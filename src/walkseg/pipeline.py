@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .features import per_channel_normalize, extract_features
-from .graph import build_sparsity, learned_affinity, transition
+from .graph import build_sparsity, dump_edges, learned_affinity, transition
 from .metrics import onehot_probabilities, trimap_band
 from .solver import SolverConfig, solve
 from .synth import corrupt_unaries, oracle_affinity
@@ -68,16 +68,25 @@ def diffuse(a, f, steps, cfg: SolverConfig):
 
 
 def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
-            solver_cfg: SolverConfig = None, metric: str = "euclidean"):
-    """Checkpoint inference. Returns (label map, diffused scores)."""
+            solver_cfg: SolverConfig = None, metric: str = "euclidean",
+            dump_prefix: str = None):
+    """Checkpoint inference. Returns (label map, diffused scores).
+
+    With `dump_prefix`, the walk's W and A are also written as "i j value"
+    triplets to `<prefix>.W.txt` and `<prefix>.A.txt` (at steps=0 too).
+    """
     solver_cfg = solver_cfg or SolverConfig()
     stack = prepare_stack(image, ckpt.bank)
-    f = unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
-    if steps == 0:
-        y = f
-    else:
-        a = transition(*model_affinities(ckpt, stack, radius, metric))
-        y = diffuse(a, f, steps, solver_cfg)
+    y = unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
+    if steps != 0 or dump_prefix:
+        pattern, w = model_affinities(ckpt, stack, radius, metric)
+        a = transition(pattern, w)
+        if dump_prefix:
+            for suffix, values in ((".W.txt", w), (".A.txt", a.values)):
+                with open(dump_prefix + suffix, "w", encoding="utf-8") as fh:
+                    dump_edges(pattern, values, fh)
+        if steps != 0:
+            y = diffuse(a, y, steps, solver_cfg)
     return argmax_labels(y, image.shape[:2]), y
 
 

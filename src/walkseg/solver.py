@@ -21,7 +21,8 @@ In its default "iterate" mode `solve` takes one of two paths:
     alpha) ||dy||; it stops when that bound (or ||dy|| itself, for
     alpha <= 1/2) falls below `tolerance`.
   * block conjugate gradients, when alpha >= CG_MIN_ALPHA and W is
-    exactly symmetric (learned and oracle affinities are). A = D^-1 W
+    exactly symmetric (learned and oracle affinities are), which
+    `graph.transition` records as `TransitionMatrix.symmetric`. A = D^-1 W
     then makes (I - alpha A) y = f the SPD system (D - alpha W) y = D f;
     with S = D^-1/2 W D^-1/2 it is (I - alpha S) z = D^1/2 f and
     y = (1 - alpha) D^-1/2 z. The loop needs about log(tol) / log(alpha)
@@ -52,15 +53,11 @@ DENSE_PIXEL_LIMIT = 4096
 
 # `solve` uses conjugate gradients at and above this alpha when W is
 # symmetric. Measured on 64x64 oracle scenes at R5, tolerance 1e-6, on a
-# 2-core host (median of 8 scenes x 3 runs), loop against CG: 27 against
-# 28 ms at alpha 0.5 (14 sweeps, 13 products), 29 against 29 ms at 0.6,
-# 44 against 35 ms at 0.7, 132 against 61 ms at 0.9 and 1190 against
-# 174 ms at 0.99 (717 sweeps, 80-87 products). Random 5-channel feature
-# affinities cross at the same place: 25 against 28 ms at 0.5, 35
-# against 32 ms at 0.6. These CG times were taken with a looser stop
-# bound (max_i D_i^-1/2 * max_c ||r_c||_2); the per-pixel bound takes
-# 10-20% fewer products on the same scenes (10-12 at 0.5, 68-77 at
-# 0.99), which moves the crossover no further up.
+# 2-core host (median of 8 scenes x 3 runs; ranges over two repeats),
+# loop against CG: 16-17 against 16-17 ms at alpha 0.5 (14 sweeps, 10-12
+# products), 21-24 against 17-20 ms at 0.6 (18-19 sweeps, 11-13
+# products) and 35 against 24-25 ms at 0.7 (25-27 sweeps, 14-16
+# products). The two tie at 0.5 and CG is ahead from 0.6 on.
 CG_MIN_ALPHA = 0.6
 
 
@@ -75,8 +72,8 @@ class SolverConfig:
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidInputError(
                 f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.tolerance <= 0.0:
-            raise InvalidInputError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise InvalidInputError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.mode not in MODES:
@@ -201,11 +198,6 @@ def dense_oracle_solve(a: TransitionMatrix, f: np.ndarray,
     return np.linalg.solve(system, f)
 
 
-def _symmetric(a: TransitionMatrix) -> bool:
-    w = a.weights
-    return w is not None and np.array_equal(w[a.pattern.reverse], w)
-
-
 def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """The damped fixed point (1 - alpha) (I - alpha A)^-1 f by the
     configured mode. "iterate" runs conjugate gradients when alpha >=
@@ -217,7 +209,7 @@ def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
         return (1.0 - cfg.alpha) * solve_closed_form(a, f, cfg)
     if cfg.mode == "dense_oracle":
         return (1.0 - cfg.alpha) * dense_oracle_solve(a, f, cfg.alpha)
-    if cfg.alpha >= CG_MIN_ALPHA and _symmetric(a):
+    if cfg.alpha >= CG_MIN_ALPHA and a.symmetric:
         return _symmetric_cg(a, f, cfg)
     y, _ = diffuse_to_convergence(a, f, cfg)
     return y

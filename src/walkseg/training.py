@@ -50,8 +50,8 @@ class TrainConfig:
     def validate(self):
         for name in ("learning_rate", "momentum", "weight_decay",
                      "seg_loss_weight", "aff_loss_weight"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be finite and >= 0")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.iterations < 0:

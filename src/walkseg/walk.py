@@ -70,4 +70,4 @@ def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
             "...c,...c->...", dy[block.src], f[block.dst]).ravel()
         da[half + block.start:half + block.stop] = np.einsum(
             "...c,...c->...", dy[block.dst], f[block.src]).ravel()
-    return da[pattern.slot]
+    return da

@@ -141,14 +141,27 @@ def test_train_smoke_loss_log(smoke_workspace):
     assert loaded.num_classes == 4
 
 
-def test_train_divergence_exit_code(smoke_workspace, tmp_path):
-    root, data, _, _, overrides = smoke_workspace
-    code = main(["train", *overrides,
-                 "--set", "train.learning_rate=1e6",
-                 "--set", "train.aff_loss_weight=1.0",
-                 "--manifest", str(data / "train.txt"),
-                 "--out-checkpoint", str(tmp_path / "diverged.ckpt")])
+def test_train_divergence_exit_code(smoke_workspace, tmp_path, capsys):
+    root, data, ckpt, _, overrides = smoke_workspace
+    train = ["train", *overrides, "--manifest", str(data / "train.txt"),
+             "--out-checkpoint", str(tmp_path / "diverged.ckpt")]
+    code = main([*train, "--set", "train.learning_rate=1e6",
+                 "--set", "train.aff_loss_weight=1.0"])
     assert code == 3
+    # non-finite settings are bad input (exit 2), not a numerical failure
+    infer = ["infer", *overrides, "--checkpoint", str(ckpt),
+             "--image", str(data / "test" / "img000.ppm"),
+             "--out-labels", str(tmp_path / "p.pgm")]
+    capsys.readouterr()
+    for argv, setting in [
+            (train, "train.learning_rate=nan"), (train, "train.momentum=inf"),
+            (train, "train.weight_decay=nan"),
+            (train, "train.seg_loss_weight=nan"),
+            (train, "train.aff_loss_weight=inf"),
+            (infer, "solver.tolerance=nan"), (infer, "solver.tolerance=inf")]:
+        assert main([*argv, "--set", setting]) == 2, setting
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, setting
 
 
 def test_train_missing_manifest_entry(smoke_workspace, tmp_path):
@@ -229,27 +242,38 @@ def test_infer_affinity_dump(smoke_workspace, tmp_path):
     model = load_checkpoint(ckpt)
     image = pnm.read_ppm(image_path)
     a = pipeline.model_transition(model, image, 2)
-    np.testing.assert_array_equal(dumped_w[:, 0], a.pattern.rows)
-    np.testing.assert_array_equal(dumped_w[:, 1], a.pattern.indices)
+    # edges are listed by (i, j)
+    order = np.lexsort((a.pattern.cols, a.pattern.rows))
+    np.testing.assert_array_equal(dumped_w[:, 0], a.pattern.rows[order])
+    np.testing.assert_array_equal(dumped_w[:, 1], a.pattern.cols[order])
+    np.testing.assert_array_equal(dumped_a[:, :2], dumped_w[:, :2])
     stack = pipeline.prepare_stack(image, model.bank)
     reference = affinity_forward(channel_distances(stack, a.pattern),
                                  model.theta)
-    np.testing.assert_allclose(dumped_w[:, 2], reference, rtol=1e-13, atol=0)
-    np.testing.assert_array_equal(dumped_a[:, 2], a.values)
+    np.testing.assert_allclose(dumped_w[:, 2], reference[order], rtol=1e-13,
+                               atol=0)
+    np.testing.assert_array_equal(dumped_a[:, 2], a.values[order])
 
 
 def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
                                          monkeypatch):
+    """One feature stack and one W per request, an affinity dump included."""
     root, data, ckpt, _, overrides = smoke_workspace
     calls = []
-    extract = pipeline.extract_features
-    monkeypatch.setattr(pipeline, "extract_features",
-                        lambda *args: calls.append(1) or extract(*args))
-    assert main(["infer", *overrides, "--checkpoint", str(ckpt),
-                 "--image", str(data / "test" / "img000.ppm"),
-                 "--out-labels", str(tmp_path / "p.pgm"),
-                 "--radius", "2"]) == 0
-    assert len(calls) == 1
+    for name in ("extract_features", "learned_affinity"):
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    argv = ["infer", *overrides, "--checkpoint", str(ckpt),
+            "--image", str(data / "test" / "img000.ppm"),
+            "--out-labels", str(tmp_path / "p.pgm"), "--radius", "2"]
+    assert main(argv) == 0
+    assert sorted(calls) == ["extract_features", "learned_affinity"]
+    calls.clear()
+    assert main([*argv, "--dump-affinity", str(tmp_path / "edges")]) == 0
+    assert sorted(calls) == ["extract_features", "learned_affinity"]
+    assert (tmp_path / "edges.W.txt").exists()
 
 
 def test_eval_perfect_predictions(smoke_workspace, tmp_path):

@@ -54,15 +54,22 @@ def test_chebyshev_metric_is_square_window():
 @given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 4))
 def test_pattern_invariants(h, w, r):
     pattern = build_sparsity(h, w, r)
-    rows, cols = pattern.rows, pattern.indices
+    rows, cols = pattern.rows, pattern.cols
     assert not np.any(rows == cols)  # no self edges
-    # mirrored edge bookkeeping is exact
-    assert np.array_equal(rows[pattern.reverse], cols)
-    assert np.array_equal(cols[pattern.reverse], rows)
-    # neighbor lists sorted ascending within each row
+    # slot t and its mirror t + half join the same pixel pair
+    half = pattern.num_edges // 2
+    assert np.array_equal(rows[half:], cols[:half])
+    assert np.array_equal(cols[half:], rows[:half])
+    # each row lists distinct neighbors, as many as its CSR span
     for i in range(pattern.num_pixels):
-        row = cols[pattern.indptr[i]:pattern.indptr[i + 1]]
-        assert np.all(np.diff(row) > 0)
+        row = cols[rows == i]
+        assert np.unique(row).size == row.size
+        assert row.size == pattern.indptr[i + 1] - pattern.indptr[i]
+    # the CSR copy puts edge slot e's value at (rows[e], cols[e])
+    values = np.arange(1.0, pattern.num_edges + 1)
+    matrix = pattern.csr(values)
+    assert matrix.nnz == pattern.num_edges and matrix.has_sorted_indices
+    np.testing.assert_array_equal(matrix.toarray()[rows, cols], values)
     # membership iff Euclidean offset within radius
     ys, xs = rows // w, rows % w
     yt, xt = cols // w, cols % w
@@ -81,8 +88,9 @@ def test_pattern_is_memoised_and_read_only():
     assert build_sparsity(5, 7, 2) is pattern
     assert build_sparsity(np.int64(5), np.int64(7), 2, "euclidean") is pattern
     assert build_sparsity(5, 7, 2, metric="chebyshev") is not pattern
-    arrays = (pattern.indptr, pattern.indices, pattern.rows, pattern.reverse,
-              pattern.slot)
+    arrays = [value for value in vars(pattern).values()
+              if isinstance(value, np.ndarray)]
+    assert len(arrays) == 4
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -110,7 +118,8 @@ def test_distance_symmetry_on_random_stack():
     stack = random_stack(5, 5, 3, seed=9)
     pattern = build_sparsity(5, 5, 2)
     fdist = channel_distances(stack, pattern)
-    np.testing.assert_array_equal(fdist[pattern.reverse], fdist)
+    half = pattern.num_edges // 2
+    np.testing.assert_array_equal(fdist[:half], fdist[half:])
 
 
 def test_distance_shape_mismatch_rejected():
@@ -151,7 +160,8 @@ def test_affinity_symmetry_preserved():
     pattern = build_sparsity(4, 4, 2)
     w = affinity_forward(channel_distances(stack, pattern),
                          np.array([-1.0, 0.5, -0.2]))
-    np.testing.assert_array_equal(w[pattern.reverse], w)
+    half = pattern.num_edges // 2
+    np.testing.assert_array_equal(w[:half], w[half:])
     assert np.all(w > 0)
 
 
@@ -177,15 +187,15 @@ def test_offset_major_layer_matches_gather(h, w, r, metric, k, m, seed):
     pixels = np.arange(h * w).reshape(h, w)
     src = [pixels[b.src].ravel() for b in pattern.blocks] or [np.empty(0, int)]
     dst = [pixels[b.dst].ravel() for b in pattern.blocks] or [np.empty(0, int)]
-    major_rows = np.concatenate(src + dst)
-    major_cols = np.concatenate(dst + src)
-    np.testing.assert_array_equal(major_rows[pattern.slot], pattern.rows)
-    np.testing.assert_array_equal(major_cols[pattern.slot], pattern.indices)
+    np.testing.assert_array_equal(np.concatenate(src + dst), pattern.rows)
+    np.testing.assert_array_equal(np.concatenate(dst + src), pattern.cols)
 
+    half = pattern.num_edges // 2
     fdist = channel_distances(stack, pattern)
+    np.testing.assert_array_equal(fdist[:half], fdist[half:])
     w_ref = affinity_forward(fdist, theta)
     w_new = learned_affinity(stack, pattern, theta)
-    np.testing.assert_array_equal(w_new[pattern.reverse], w_new)
+    np.testing.assert_array_equal(w_new[:half], w_new[half:])
     np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
 
     dw = rng.standard_normal(pattern.num_edges)
@@ -196,7 +206,10 @@ def test_offset_major_layer_matches_gather(h, w, r, metric, k, m, seed):
     f = rng.standard_normal((h * w, m))
     np.testing.assert_array_equal(
         rw_backward_a(pattern, dy, f),
-        np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.indices]))
+        np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols]))
+
+    targets = ground_truth_affinity(rng.integers(0, 2, (h, w)), pattern)
+    np.testing.assert_array_equal(targets[:half], targets[half:])
 
 
 def test_offset_major_layer_memory_at_paper_radius():
@@ -264,7 +277,7 @@ def test_half_plane_targets_zero_only_across_boundary():
     pattern = build_sparsity(3, 4, 1)
     targets = ground_truth_affinity(labels, pattern)
     crossing = (labels.ravel()[pattern.rows]
-                != labels.ravel()[pattern.indices])
+                != labels.ravel()[pattern.cols])
     np.testing.assert_array_equal(targets[crossing], 0.0)
     np.testing.assert_array_equal(targets[~crossing], 1.0)
 
@@ -329,19 +342,20 @@ def test_affinity_backward_matches_finite_differences():
 
 def test_row_normalization_values():
     pattern = build_sparsity(1, 4, 3)  # row 0 has 3 neighbors
-    w = np.zeros(pattern.num_edges)
-    w[pattern.indptr[0]:pattern.indptr[1]] = [1.0, 1.0, 2.0]
-    w[pattern.indptr[1]:] = 1.0
+    row0 = pattern.rows == 0
+    np.testing.assert_array_equal(pattern.cols[row0], [1, 2, 3])
+    w = np.ones(pattern.num_edges)
+    w[row0] = [1.0, 1.0, 2.0]
     a = transition(pattern, w)
-    np.testing.assert_allclose(a.values[:3], [0.25, 0.25, 0.5])
+    np.testing.assert_allclose(a.values[row0], [0.25, 0.25, 0.5])
 
 
 def test_uniform_walk_on_grid():
     pattern = build_sparsity(3, 3, 1)
     a = transition(pattern, np.ones(pattern.num_edges))
-    corner = a.values[pattern.indptr[0]:pattern.indptr[1]]
+    corner = a.values[pattern.rows == 0]
     np.testing.assert_allclose(corner, [0.5, 0.5])
-    center = a.values[pattern.indptr[4]:pattern.indptr[5]]
+    center = a.values[pattern.rows == 4]
     np.testing.assert_allclose(center, 0.25)
 
 
@@ -360,7 +374,7 @@ def test_row_scaling_leaves_transition_unchanged():
     a, w = random_transition(3, 3, 1, seed=4)
     pattern = a.pattern
     scaled = w.copy()
-    scaled[pattern.indptr[4]:pattern.indptr[5]] *= 7.5
+    scaled[pattern.rows == 4] *= 7.5
     b = transition(pattern, scaled)
     np.testing.assert_allclose(b.values, a.values, rtol=1e-14)
     f = np.random.default_rng(0).standard_normal((pattern.num_pixels, 3))
@@ -377,10 +391,10 @@ def test_transition_backward_zero():
 def test_transition_backward_uniform_row_gradient_vanishes():
     a, _ = random_transition(3, 3, 1, seed=2)
     da = np.zeros(a.pattern.num_edges)
-    da[a.pattern.indptr[4]:a.pattern.indptr[5]] = 3.7
+    row4 = a.pattern.rows == 4
+    da[row4] = 3.7
     dw = transition_backward(a, da)
-    np.testing.assert_allclose(dw[a.pattern.indptr[4]:a.pattern.indptr[5]],
-                               0.0, atol=1e-15)
+    np.testing.assert_allclose(dw[row4], 0.0, atol=1e-15)
 
 
 def test_transition_backward_matches_finite_differences():
@@ -434,3 +448,11 @@ def test_dump_edges_triplet_format():
     buffer = io.StringIO()
     dump_edges(pattern, np.array([0.25, 0.75]), buffer)
     assert buffer.getvalue() == "0 1 0.25\n1 0 0.75\n"
+    # 2x2, R1: the slots hold (0,1) (2,3) (0,2) (1,3) and then their
+    # mirrors; the dump lists the edges by (i, j), each with its value
+    pattern = build_sparsity(2, 2, 1)
+    buffer = io.StringIO()
+    dump_edges(pattern, np.arange(pattern.num_edges) / 8.0, buffer)
+    assert buffer.getvalue().splitlines() == [
+        "0 1 0.0", "0 2 0.25", "1 0 0.5", "1 3 0.375",
+        "2 0 0.75", "2 3 0.125", "3 1 0.875", "3 2 0.625"]

@@ -125,6 +125,6 @@ def test_cross_label_edges_get_epsilon():
     labels[0, 0] = 1
     pattern = build_sparsity(2, 2, 1)
     w = oracle_affinity(labels, pattern, eps=1e-6)
-    same = labels.ravel()[pattern.rows] == labels.ravel()[pattern.indices]
+    same = labels.ravel()[pattern.rows] == labels.ravel()[pattern.cols]
     np.testing.assert_array_equal(w[same], 1.0)
     np.testing.assert_array_equal(w[~same], 1e-6)

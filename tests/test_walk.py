@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (damped_series_dense, numerical_gradient,
@@ -162,16 +162,32 @@ def test_forward_is_linear(seed):
                                atol=1e-12)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 300))
-def test_adjoint_identity(seed):
-    a, _ = random_transition(4, 3, 2, seed=seed)
-    rng = np.random.default_rng(seed + 2)
-    f = rng.standard_normal((12, 3))
-    g = rng.standard_normal((12, 3))
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 8),
+       mirrored=st.booleans(), seed=st.integers(0, 300))
+@example(h=1, w=1, r=1, mirrored=False, seed=0)
+@example(h=1, w=6, r=2, mirrored=False, seed=1)
+@example(h=6, w=1, r=3, mirrored=True, seed=2)
+@example(h=3, w=4, r=8, mirrored=False, seed=3)
+@example(h=4, w=3, r=5, mirrored=True, seed=4)
+def test_adjoint_identity(h, w, r, mirrored, seed):
+    """<A f, g> == <f, A^T g>, and A^T is the dense transpose, for random
+    (asymmetric) W and for W equal on both edges of every pixel pair."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    weights = rng.uniform(0.2, 2.0, pattern.num_edges)
+    if mirrored:
+        half = pattern.num_edges // 2
+        weights[half:] = weights[:half]
+    a = transition(pattern, weights)
+    assert a.symmetric == (mirrored or pattern.num_edges == 0)
+    f = rng.standard_normal((h * w, 3))
+    g = rng.standard_normal((h * w, 3))
     lhs = float(np.sum(rw_forward(a, f) * g))
     rhs = float(np.sum(f * rw_backward_f(a, g)))
     assert abs(lhs - rhs) < 1e-10
+    np.testing.assert_allclose(rw_backward_f(a, g), a.dense().T @ g,
+                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
