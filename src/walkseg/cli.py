@@ -8,6 +8,7 @@ little-endian.
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -370,10 +371,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -384,7 +387,3 @@ def main(argv=None) -> int:
     except (ConvergenceError, DivergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,6 @@ configuration, so a feature stack is a pure function of (image, config).
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 
@@ -51,16 +50,23 @@ def _bank_filters(rng, count: int, in_channels: int) -> np.ndarray:
     return rng.standard_normal((count, in_channels, 3, 3)) * scale
 
 
-def _conv3x3(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
-    """3x3 correlation, stride 1, symmetric (reflective) padding, rectified."""
-    h, w, cin = x.shape
-    cout = filters.shape[0]
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="symmetric")
-    windows = sliding_window_view(padded, (3, 3), axis=(0, 1))  # (h, w, cin, 3, 3)
-    patches = windows.reshape(h * w, cin * 9)
-    flat = filters.transpose(1, 2, 3, 0).reshape(cin * 9, cout)
-    out = patches @ flat
-    return np.maximum(out, 0.0).reshape(h, w, cout)
+def _conv3x3(x: np.ndarray, filters: np.ndarray, out: np.ndarray) -> None:
+    """Rectified 3x3 correlation (stride 1, symmetric padding) into `out`.
+
+    One GEMM per tap and no patch matrix: viewed flat as
+    ((h + 3)(w + 2), cin) rows, the padded image holds tap (dy, dx) of all
+    outputs in one slice; the 2 junk columns per row are dropped."""
+    (h, w, cin), cout = x.shape, out.shape[2]
+    flat = np.pad(x, ((1, 2), (1, 1), (0, 0)), mode="symmetric").reshape(-1, cin)
+    taps = filters.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # contiguous
+    shifts = [dy * (w + 2) + dx for dy in range(3) for dx in range(3)]
+    band = max(1, (1 << 16) // (cout * (w + 2)))  # rows of 512 KiB, in L2
+    for y in range(0, h, band):
+        r0, r1 = y * (w + 2), min(h, y + band) * (w + 2)
+        acc = np.zeros((r1 - r0, cout))
+        for shift, tap in zip(shifts, taps):
+            acc += flat[r0 + shift:r1 + shift] @ tap
+        np.maximum(acc.reshape(-1, w + 2, cout)[:, :-2], 0.0, out=out[y:y + band])
 
 
 def extract_features(image, bank: FilterBankConfig) -> np.ndarray:
@@ -76,15 +82,15 @@ def extract_features(image, bank: FilterBankConfig) -> np.ndarray:
         raise InvalidInputError("filter bank sizes must be nonnegative")
     if bank.f1 == 0 and bank.f2 > 0:
         raise InvalidInputError("bank 2 filters bank 1 output; f2 > 0 needs f1 > 0")
-    parts = [image]
+    stack = np.empty(image.shape[:2] + (bank.num_channels,))
+    stack[:, :, :3] = image
     rng = np.random.default_rng(bank.seed)
     if bank.f1 > 0:
-        responses1 = _conv3x3(image, _bank_filters(rng, bank.f1, 3))
-        parts.append(responses1)
+        _conv3x3(image, _bank_filters(rng, bank.f1, 3), stack[:, :, 3:3 + bank.f1])
         if bank.f2 > 0:
-            responses2 = _conv3x3(responses1, _bank_filters(rng, bank.f2, bank.f1))
-            parts.append(responses2)
-    return np.concatenate(parts, axis=2)
+            _conv3x3(stack[:, :, 3:3 + bank.f1], _bank_filters(rng, bank.f2, bank.f1),
+                     stack[:, :, 3 + bank.f1:])
+    return stack
 
 
 def per_channel_normalize(stack: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ the offsets > (0, 0), which lists the edges offset-major: the edges
 (p, p + o) block by block, then their mirrors in the same order, so
 slots t and t + E/2 join the same pixel pair. `learned_affinity`, its
 backward pass and `walk.rw_backward_a` work through the offset blocks,
-the affinity head on short runs of consecutive blocks.
+the affinity head on runs of whole window rows of about 1 MiB each.
 The E x k distance tensor is never held. `channel_distances` gathers
 that tensor in one piece; it is the reference path the tests compare
 against, not part of the pipeline.
@@ -46,8 +46,8 @@ import scipy.sparse as sp
 from .errors import InvalidInputError
 
 
-# offset blocks are batched into runs whose buffer holds about this many
-# values (1 MiB of float64), so small blocks share one numpy call
+# a run of distances holds at most this many values (1 MiB of float64),
+# unless a single grid row holds more (see `_distance_runs`)
 _RUN_VALUES = 1 << 17
 
 
@@ -82,7 +82,8 @@ class SparsityPattern:
 
     The CSR bridge of the sparse product: ``indptr[i]:indptr[i + 1]``
     is the span of pixel i's edges in CSR order (row, then ascending
-    column), and ``slot[c]`` is the offset-major slot of CSR slot c.
+    column), ``slot[c]`` is the offset-major slot of CSR slot c and
+    ``indices[c]`` its column, both in scipy's int32 where E fits.
     """
 
     height: int
@@ -94,6 +95,7 @@ class SparsityPattern:
     metric: str
     blocks: list = field(repr=False)
     slot: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
     @property
     def num_pixels(self) -> int:
@@ -104,12 +106,11 @@ class SparsityPattern:
         return int(self.rows.size)
 
     def csr(self, values: np.ndarray) -> sp.csr_matrix:
-        """An edge-value array as a scipy CSR matrix; values and column
-        indices are copied into CSR order."""
+        """An edge-value array as a scipy CSR matrix; only the values are
+        copied into CSR order, the matrix shares the read-only indices."""
         n = self.num_pixels
-        return sp.csr_matrix(
-            (values[self.slot], self.cols[self.slot], self.indptr),
-            shape=(n, n))
+        return sp.csr_matrix((values[self.slot], self.indices, self.indptr),
+                             shape=(n, n))
 
 
 def _offset_windows(height, width, radius, metric):
@@ -172,12 +173,14 @@ def _build_sparsity(height, width, radius, metric):
     slot = np.lexsort((cols, rows))
 
     n = height * width
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    index = np.int32 if rows.size < 2 ** 31 else np.int64
+    indices = cols.astype(index)[slot]
+    indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    for array in (indptr, rows, cols, slot):
+    for array in (indptr, rows, cols, slot, indices):
         array.setflags(write=False)
     return SparsityPattern(height, width, radius, indptr, rows, cols, metric,
-                           blocks, slot)
+                           blocks, slot, indices)
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -206,32 +209,45 @@ def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray
     return np.abs(flat[pattern.rows] - flat[pattern.cols])
 
 
+def _row_bands(block: OffsetBlock, cap: int):
+    """`block` in bands of as many whole window rows as fit in `cap`
+    edges, one row at least."""
+    (ys, xs), (yd, xd) = block.src, block.dst
+    width = xs.stop - xs.start
+    step = max(1, cap // width)
+    for r0 in range(0, ys.stop - ys.start, step):
+        r1 = min(r0 + step, ys.stop - ys.start)
+        yield OffsetBlock((slice(ys.start + r0, ys.start + r1), xs),
+                          (slice(yd.start + r0, yd.start + r1), xd),
+                          block.start + r0 * width, block.start + r1 * width)
+
+
 def _distance_runs(grid: np.ndarray, pattern: SparsityPattern):
-    """Yield (slots, distances) per run of offset blocks: the slice of
+    """Yield (slots, distances) per run of row bands: the slice of
     first-half slots the run covers and its edges' distances
     |S[src] - S[dst]| as (edges, k) rows. Every run overwrites one
     shared buffer, so a caller must be done with a run before asking
     for the next."""
     k = grid.shape[2]
-    largest = max((b.stop - b.start for b in pattern.blocks), default=0)
-    capacity = min(pattern.num_edges // 2,
-                   max(largest, _RUN_VALUES // max(k, 1)))
-    # consecutive blocks share a run of at most `capacity` edges; a
-    # larger block forms a run by itself
+    cap = max(1, _RUN_VALUES // max(k, 1))
+    # blocks over `cap` edges are cut into row bands; consecutive bands
+    # share a run of at most `cap` edges, only a one-row band is longer
     runs = []
     for block in pattern.blocks:
-        if runs and block.stop - runs[-1][0].start <= capacity:
-            runs[-1].append(block)
-        else:
-            runs.append([block])
-    buffer = np.empty((capacity, k))
+        for band in ((block,) if block.stop - block.start <= cap
+                     else _row_bands(block, cap)):
+            if runs and band.stop - runs[-1][0].start <= cap:
+                runs[-1].append(band)
+            else:
+                runs.append([band])
+    buffer = np.empty((max(cap, pattern.width), k))
     for run in runs:
         first = run[0].start
         fdist = buffer[:run[-1].stop - first]
-        for block in run:
-            src = grid[block.src]
-            out = fdist[block.start - first:block.stop - first]
-            np.subtract(src, grid[block.dst], out=out.reshape(src.shape))
+        for band in run:
+            src = grid[band.src]
+            out = fdist[band.start - first:band.stop - first]
+            np.subtract(src, grid[band.dst], out=out.reshape(src.shape))
         np.abs(fdist, out=fdist)
         yield slice(first, run[-1].stop), fdist
 
@@ -242,9 +258,9 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
 
     Equal, up to the rounding of each edge's dot product, to
     ``affinity_forward(channel_distances(stack, pattern), theta)``, but
-    computed a run of offset blocks at a time (see `SparsityPattern`), so
-    the distances held at once are one block of at most h*w x k, or
-    about 1 MiB where blocks are smaller.
+    computed a run of row bands at a time (see `SparsityPattern`), so
+    the distances held at once take at most about 1 MiB, or one grid
+    row where a row is wider than that.
     A pixel pair's two edges get the same value, so the two halves of
     ``w`` are equal exactly.
     """
@@ -408,5 +424,5 @@ def dump_edges(pattern: SparsityPattern, values: np.ndarray, fh) -> None:
     """Write per-edge values as text triplets "i j value", one per line,
     sorted by (i, j)."""
     slot = pattern.slot
-    for i, j, v in zip(pattern.rows[slot], pattern.cols[slot], values[slot]):
+    for i, j, v in zip(pattern.rows[slot], pattern.indices, values[slot]):
         fh.write(f"{i} {j} {float(v)!r}\n")

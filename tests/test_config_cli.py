@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -439,3 +442,18 @@ def test_paper_preset_run_header(tmp_path):
         "# train.alpha = 0.01",
     }
     assert expected.issubset(set(header))
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    """`python -m walkseg` runs the command-line front end from the
+    source tree; a missing required flag is a usage error."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "walkseg", "infer",
+         "--image", str(tmp_path / "in.ppm"),
+         "--out-labels", str(tmp_path / "out.pgm")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage error:")
+    assert "--checkpoint" in result.stderr

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkseg.errors import InvalidInputError
-from walkseg.features import (FilterBankConfig, extract_features,
+from walkseg.features import (FilterBankConfig, _conv3x3, extract_features,
                               per_channel_normalize)
 
 
@@ -56,6 +58,53 @@ def test_spatial_size_preserved(h, w, f1, f2, seed):
     stack = extract_features(image, FilterBankConfig(f1=f1, f2=f2, seed=seed))
     assert stack.shape == (h, w, 3 + f1 + f2)
     assert np.all(np.isfinite(stack))
+
+
+def _direct_conv3x3(x, filters):
+    """Rectified 3x3 correlation tap by tap; with a padding width of one,
+    symmetric padding repeats the edge pixel."""
+    h, w, _ = x.shape
+    out = np.zeros((h, w, filters.shape[0]))
+    for y in range(h):
+        for xx in range(w):
+            for dy in range(3):
+                for dx in range(3):
+                    sy = min(max(y + dy - 1, 0), h - 1)
+                    sx = min(max(xx + dx - 1, 0), w - 1)
+                    out[y, xx] += filters[:, :, dy, dx] @ x[sy, sx]
+    return np.maximum(out, 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), cin=st.integers(1, 5),
+       cout=st.integers(1, 5), seed=st.integers(0, 999))
+@example(h=1, w=1, cin=3, cout=2, seed=0)
+@example(h=1, w=7, cin=2, cout=3, seed=1)
+@example(h=7, w=1, cin=4, cout=1, seed=2)
+@example(h=40, w=30, cin=2, cout=64, seed=3)  # two bands, the last partial
+def test_conv3x3_matches_direct_correlation(h, w, cin, cout, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (h, w, cin))
+    filters = rng.standard_normal((cout, cin, 3, 3))
+    out = np.full((h, w, cout), np.nan)
+    _conv3x3(x, filters, out)
+    np.testing.assert_allclose(out, _direct_conv3x3(x, filters),
+                               rtol=0, atol=1e-12)
+
+
+def test_default_banks_hold_no_patch_matrix():
+    """At 64x64 the default banks peak far below the 18.9 MB that a
+    (4096, 576) bank-2 patch matrix alone would take; the 4.3 MB feature
+    stack is counted."""
+    image = np.random.default_rng(3).uniform(0, 1, (64, 64, 3))
+    tracemalloc.start()
+    try:
+        stack = extract_features(image, FilterBankConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (64, 64, 131)
+    assert peak < 12 * 2 ** 20
 
 
 def test_normalize_affine_rescale():

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (numerical_gradient, random_stack, random_transition,
                      rel_error, tiny_feature_setup)
+from walkseg import graph
 from walkseg.errors import InvalidInputError
 from walkseg.features import per_channel_normalize
 from walkseg.graph import (_build_sparsity, affinity_backward,
@@ -90,7 +92,7 @@ def test_pattern_is_memoised_and_read_only():
     assert build_sparsity(5, 7, 2, metric="chebyshev") is not pattern
     arrays = [value for value in vars(pattern).values()
               if isinstance(value, np.ndarray)]
-    assert len(arrays) == 4
+    assert len(arrays) == 5
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -210,6 +212,43 @@ def test_offset_major_layer_matches_gather(h, w, r, metric, k, m, seed):
 
     targets = ground_truth_affinity(rng.integers(0, 2, (h, w)), pattern)
     np.testing.assert_array_equal(targets[:half], targets[half:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), r=st.integers(1, 10),
+       k=st.integers(1, 4), run_values=st.integers(1, 48),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=9, r=4, k=2, run_values=6, seed=0)
+@example(h=9, w=1, r=4, k=1, run_values=2, seed=1)
+@example(h=5, w=6, r=10, k=3, run_values=3, seed=2)
+@example(h=8, w=8, r=9, k=4, run_values=48, seed=3)
+def test_row_band_runs_match_gather(h, w, r, k, run_values, seed):
+    """With the run size cut down, large offset blocks are split into
+    row bands (one-row bands and rows wider than the cap included); the
+    runs still tile the first half in order and give the gathered
+    affinities and dtheta."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    stack = rng.uniform(0.0, 1.0, (h, w, k))
+    theta = rng.normal(0.0, 1.0, k)
+    dw = rng.standard_normal(pattern.num_edges)
+    half = pattern.num_edges // 2
+    cap = max(1, run_values // k)
+    with mock.patch.object(graph, "_RUN_VALUES", run_values):
+        covered = 0
+        for slots, fdist in graph._distance_runs(stack, pattern):
+            assert slots.start == covered and fdist.shape[0] == slots.stop - covered
+            # only a single grid row may exceed the cap
+            assert fdist.shape[0] <= max(cap, w)
+            covered = slots.stop
+        assert covered == half
+        w_new = learned_affinity(stack, pattern, theta)
+        dtheta = learned_affinity_backward(stack, pattern, w_new, dw)
+    fdist = channel_distances(stack, pattern)
+    w_ref = affinity_forward(fdist, theta)
+    np.testing.assert_array_equal(w_new[:half], w_new[half:])
+    np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
+    assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
 
 
 def test_offset_major_layer_memory_at_paper_radius():
