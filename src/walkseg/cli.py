@@ -73,11 +73,13 @@ def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out_dir)
     counts = {"train": cfg.generate.train_count, "test": cfg.generate.test_count}
+    if min(counts.values()) < 0:
+        raise InvalidInputError(f"scene counts must be >= 0, got {counts}")
     start = 0
     for split, count in counts.items():
+        scenes = synth.generate(cfg.scene, count, start_index=start)
         split_dir = out / split
         split_dir.mkdir(parents=True, exist_ok=True)
-        scenes = synth.generate(cfg.scene, count, start_index=start)
         start += count
         lines = []
         for i, (image, labels) in enumerate(scenes):
@@ -143,14 +145,12 @@ def cmd_infer(args) -> int:
     cfg = _load_cfg(args)
     ckpt = load_checkpoint(args.checkpoint)
     image = pnm.read_ppm(args.image)
-    solver_cfg = dataclasses.replace(
-        cfg.solver,
-        alpha=args.alpha if args.alpha is not None else cfg.solver.alpha,
-        mode=args.mode or cfg.solver.mode)
+    alpha = args.alpha if args.alpha is not None else cfg.solver.alpha
+    solver_cfg = dataclasses.replace(cfg.solver, alpha=alpha)
     radius = args.radius if args.radius is not None else cfg.infer.radius
     steps = _parse_steps(args.steps)
     labels, scores = predict(ckpt, image, steps=steps, radius=radius,
-                             solver_cfg=solver_cfg, metric=cfg.infer.metric,
+                             solver_cfg=solver_cfg,
                              dump_prefix=args.dump_affinity)
     pnm.write_pgm(args.out_labels, labels)
     if args.out_probs:
@@ -234,12 +234,11 @@ def cmd_eval(args) -> int:
 
 def _oracle_iou(dataset_labels, cfg, steps, radius):
     scores = []
-    solver_cfg = dataclasses.replace(cfg.solver)
     for labels in dataset_labels:
         damaged, _ = oracle_scene(labels, cfg.corrupt,
                                   num_classes=cfg.scene.num_classes)
-        a = oracle_transition(labels, radius, cfg.infer.metric)
-        y = diffuse(a, damaged, steps, solver_cfg)
+        a = oracle_transition(labels, radius)
+        y = diffuse(a, damaged, steps, cfg.solver)
         pred = argmax_labels(y, labels.shape)
         scores.append(metrics.mean_iou(pred, labels, cfg.scene.num_classes))
     return float(np.mean(scores))
@@ -335,7 +334,6 @@ def build_parser() -> _Parser:
                    help="walk steps, or 'converge'")
     p.add_argument("--radius", type=_positive_int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=("iterate", "neumann", "dense_oracle"))
     p.add_argument("--dump-affinity", metavar="PREFIX",
                    help="write W and A as 'i j value' text triplets")
     p.set_defaults(func=cmd_infer)

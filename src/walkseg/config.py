@@ -1,13 +1,15 @@
 """Plain-text configuration: "section.key = value" lines, no nesting.
 
 Every tunable of the scene generator, feature banks, trainer, solver,
-corruption harness, and evaluator lives here. Parsing rejects unknown
-keys; serialization emits every key in a fixed order with canonical value
-formatting, so parse(serialize(cfg)) round-trips exactly and serialized
-configs are diffable across runs.
+corruption harness, and evaluator lives here: the sections are the
+fields of `Config`, a section's keys the fields of its dataclass, each
+parsed by its declared type. Parsing rejects unknown keys; serialization
+emits every key in field order with canonical value formatting, so
+parse(serialize(cfg)) round-trips exactly and serialized configs are
+diffable across runs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DataFormatError
 from .features import FilterBankConfig
@@ -32,8 +34,7 @@ class GenerateConfig:
 
 @dataclass
 class InferConfig:
-    radius: int = 5              # test-time neighborhood radius
-    metric: str = "euclidean"    # or "chebyshev", for ablations
+    radius: int = 5  # test-time neighborhood radius
 
 
 @dataclass
@@ -70,32 +71,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# section name -> (attribute on Config, {key: parser})
-_SECTIONS = {
-    "scene": ("scene", {
-        "height": int, "width": int, "num_classes": int, "min_shapes": int,
-        "max_shapes": int, "shape_types": _parse_shapes,
-        "texture_sigma": float, "noise_sigma": float, "seed": int,
-    }),
-    "generate": ("generate", {"train_count": int, "test_count": int}),
-    "bank": ("bank", {"f1": int, "f2": int, "seed": int}),
-    "train": ("train", {
-        "learning_rate": float, "momentum": float, "weight_decay": float,
-        "batch_size": int, "iterations": int, "train_radius": int,
-        "alpha": float, "seg_loss_weight": float, "aff_loss_weight": float,
-        "seed": int, "augment_hflip": _parse_bool,
-    }),
-    "solver": ("solver", {
-        "alpha": float, "tolerance": float, "max_iterations": int, "mode": str,
-    }),
-    "infer": ("infer", {"radius": int, "metric": str}),
-    "corrupt": ("corrupt", {
-        "band_width": int, "flip_prob": float, "blur_radius": int, "seed": int,
-    }),
-    "eval": ("eval", {
-        "trimap_max_width": int, "boundary_tolerance": float, "thresholds": int,
-    }),
-}
+# declared field type -> parser of the value's text form
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
+            tuple: _parse_shapes}
 
 # literal training recipe: lr 1e-5, momentum 0.9, weight decay 5e-5,
 # batch 15, 2000 iterations, alpha 0.01, single step at radius 40
@@ -127,26 +105,27 @@ PRESETS = {
 }
 
 
+def _keys(section) -> dict:
+    """A section's config keys: its dataclass fields, by name."""
+    return {key.name: key for key in fields(section)}
+
+
 def set_value(cfg: Config, dotted: str, raw: str) -> None:
-    """Assign one "section.key" from its text form; unknown keys are errors."""
+    """Assign one "section.key" from its text, parsed by the key's type."""
     if dotted.count(".") != 1:
         raise DataFormatError(f"expected section.key, got {dotted!r}")
     section, key = dotted.split(".")
-    if section not in _SECTIONS:
+    if section not in _keys(Config):
         raise DataFormatError(f"unknown config section {section!r}")
-    attr, keys = _SECTIONS[section]
+    target = getattr(cfg, section)
+    keys = _keys(target)
     if key not in keys:
         raise DataFormatError(f"unknown config key {dotted!r}")
     try:
-        value = keys[key](raw.strip())
+        value = _PARSERS[keys[key].type](raw.strip())
     except ValueError as exc:
         raise DataFormatError(f"bad value for {dotted}: {exc}") from exc
-    setattr(getattr(cfg, attr), key, value)
-
-
-def get_value(cfg: Config, section: str, key: str):
-    attr, _ = _SECTIONS[section]
-    return getattr(getattr(cfg, attr), key)
+    setattr(target, key, value)
 
 
 def parse_config(text: str, cfg: Config = None) -> Config:
@@ -171,9 +150,10 @@ def load_config(path, cfg: Config = None) -> Config:
 def serialize_config(cfg: Config) -> str:
     """Canonical text form: every key, fixed order, canonical formatting."""
     lines = []
-    for section, (attr, keys) in _SECTIONS.items():
-        for key in keys:
-            lines.append(f"{section}.{key} = {_fmt(get_value(cfg, section, key))}")
+    for section in _keys(Config):
+        values = getattr(cfg, section)
+        for key in _keys(values):
+            lines.append(f"{section}.{key} = {_fmt(getattr(values, key))}")
     return "\n".join(lines) + "\n"
 
 

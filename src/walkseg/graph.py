@@ -8,8 +8,7 @@ pattern, in one edge order, the offset-major order of
 `SparsityPattern`. The transition matrix is the row normalization
 A = D^-1 W with D_ii the sum of row i's off-diagonal affinities; its rows
 are probability distributions over neighbors. Patterns are memoised on
-(height, width, radius, metric), so their arrays are shared and
-read-only.
+(height, width, radius), so their arrays are shared and read-only.
 
 The pattern is translation-invariant, which the learned affinities use.
 A neighbor offset o = (dy, dx) joins every pixel p of one rectangular
@@ -92,7 +91,6 @@ class SparsityPattern:
     indptr: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    metric: str
     blocks: list = field(repr=False)
     slot: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
@@ -113,10 +111,10 @@ class SparsityPattern:
                              shape=(n, n))
 
 
-def _offset_windows(height, width, radius, metric):
+def _offset_windows(height, width, radius):
     """Yield (dy, dx, y0, y1, x0, x1) for every offset (dy, dx) > (0, 0)
-    within `radius` that joins at least one pixel pair, in ascending
-    order.
+    of Euclidean length at most `radius` that joins at least one pixel
+    pair, in ascending order.
 
     Pixel (y, x) with y0 <= y < y1 and x0 <= x < x1 has the neighbor
     (y + dy, x + dx).
@@ -125,18 +123,13 @@ def _offset_windows(height, width, radius, metric):
     span_x = min(int(radius), width - 1)
     for dy in range(span_y + 1):
         for dx in range(-span_x if dy else 1, span_x + 1):
-            if metric == "euclidean" and dy * dy + dx * dx > radius * radius:
-                continue
-            yield dy, dx, 0, height - dy, max(0, -dx), width - max(0, dx)
+            if dy * dy + dx * dx <= radius * radius:
+                yield dy, dx, 0, height - dy, max(0, -dx), width - max(0, dx)
 
 
-def build_sparsity(height: int, width: int, radius: int,
-                   metric: str = "euclidean") -> SparsityPattern:
-    """Enumerate all ordered pixel pairs within `radius` of each other.
-
-    `metric` selects how the offset length is measured: "euclidean"
-    (matches the circular neighborhood) or "chebyshev" (square window,
-    for ablations). Self-pairs are never included. Deterministic.
+def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
+    """Enumerate all ordered pixel pairs within Euclidean distance
+    `radius` of each other; self-pairs are never included. Deterministic.
 
     The last few patterns are memoised: equal arguments return the same
     object, whose arrays are read-only.
@@ -145,17 +138,14 @@ def build_sparsity(height: int, width: int, radius: int,
         raise InvalidInputError(f"bad grid {height}x{width}")
     if radius < 1:
         raise InvalidInputError(f"radius must be >= 1, got {radius}")
-    if metric not in ("euclidean", "chebyshev"):
-        raise InvalidInputError(f"unknown metric {metric!r}")
-    return _build_sparsity(int(height), int(width), radius, metric)
+    return _build_sparsity(int(height), int(width), radius)
 
 
 @functools.lru_cache(maxsize=4)
-def _build_sparsity(height, width, radius, metric):
+def _build_sparsity(height, width, radius):
     pixels = np.arange(height * width, dtype=np.int64).reshape(height, width)
     blocks, srcs, dsts = [], [], []
-    for dy, dx, y0, y1, x0, x1 in _offset_windows(height, width, radius,
-                                                  metric):
+    for dy, dx, y0, y1, x0, x1 in _offset_windows(height, width, radius):
         start = blocks[-1].stop if blocks else 0
         block = OffsetBlock(
             (slice(y0, y1), slice(x0, x1)),
@@ -179,8 +169,8 @@ def _build_sparsity(height, width, radius, metric):
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     for array in (indptr, rows, cols, slot, indices):
         array.setflags(write=False)
-    return SparsityPattern(height, width, radius, indptr, rows, cols, metric,
-                           blocks, slot, indices)
+    return SparsityPattern(height, width, radius, indptr, rows, cols, blocks,
+                           slot, indices)
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:

@@ -199,6 +199,11 @@ def boundary_pr(strength, gt_boundary, tolerance: float = 2.0,
     smallest-recall precision down to recall zero. Thresholds that select
     the same pixels share one matching.
     """
+    if thresholds < 1:
+        raise InvalidInputError(f"thresholds must be >= 1, got {thresholds}")
+    if not 0.0 <= tolerance < np.inf:
+        raise InvalidInputError(
+            f"boundary tolerance must be finite and >= 0, got {tolerance}")
     strength = np.asarray(strength, dtype=np.float64)
     gt_boundary = np.asarray(gt_boundary, dtype=bool)
     if strength.shape != gt_boundary.shape:

@@ -40,18 +40,16 @@ def model_scores(ckpt: ModelCheckpoint, image):
     return unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
 
 
-def model_affinities(ckpt: ModelCheckpoint, stack, radius: int,
-                     metric: str = "euclidean"):
+def model_affinities(ckpt: ModelCheckpoint, stack, radius: int):
     """The radius pattern of a feature stack's grid and the checkpoint's
     learned affinities W on it: (pattern, w)."""
-    pattern = build_sparsity(stack.shape[0], stack.shape[1], radius, metric)
+    pattern = build_sparsity(stack.shape[0], stack.shape[1], radius)
     return pattern, learned_affinity(stack, pattern, ckpt.theta)
 
 
-def model_transition(ckpt: ModelCheckpoint, image, radius: int,
-                     metric: str = "euclidean"):
+def model_transition(ckpt: ModelCheckpoint, image, radius: int):
     stack = prepare_stack(image, ckpt.bank)
-    return transition(*model_affinities(ckpt, stack, radius, metric))
+    return transition(*model_affinities(ckpt, stack, radius))
 
 
 def diffuse(a, f, steps, cfg: SolverConfig):
@@ -68,8 +66,7 @@ def diffuse(a, f, steps, cfg: SolverConfig):
 
 
 def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
-            solver_cfg: SolverConfig = None, metric: str = "euclidean",
-            dump_prefix: str = None):
+            solver_cfg: SolverConfig = None, dump_prefix: str = None):
     """Checkpoint inference. Returns (label map, diffused scores).
 
     With `dump_prefix`, the walk's W and A are also written as "i j value"
@@ -79,7 +76,7 @@ def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
     stack = prepare_stack(image, ckpt.bank)
     y = unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
     if steps != 0 or dump_prefix:
-        pattern, w = model_affinities(ckpt, stack, radius, metric)
+        pattern, w = model_affinities(ckpt, stack, radius)
         a = transition(pattern, w)
         if dump_prefix:
             for suffix, values in ((".W.txt", w), (".A.txt", a.values)):
@@ -101,8 +98,8 @@ def oracle_scene(labels, corrupt: CorruptionConfig, num_classes: int = None):
     return damaged, clean
 
 
-def oracle_transition(labels, radius: int, metric: str = "euclidean"):
-    pattern = build_sparsity(labels.shape[0], labels.shape[1], radius, metric)
+def oracle_transition(labels, radius: int):
+    pattern = build_sparsity(labels.shape[0], labels.shape[1], radius)
     return transition(pattern, oracle_affinity(labels, pattern))
 
 

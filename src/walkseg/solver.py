@@ -10,11 +10,12 @@ closed-form quantities coexist:
   plain resolvent:                 y = (I - alpha A)^-1 f
 
 They differ by the uniform positive factor (1 - alpha), so the per-pixel
-argmax is identical. `diffuse_to_convergence` returns the first,
-`solve_closed_form` and `dense_oracle_solve` the second. `solve`, the
-entry point the pipeline uses, returns the fixed-point scale in every mode.
+argmax is identical. `solve`, the entry point the pipeline uses, and
+`diffuse_to_convergence` return the first; `solve_closed_form` and
+`dense_oracle_solve`, the independent reference routes of the tests and
+benchmarks, return the second.
 
-In its default "iterate" mode `solve` takes one of two paths:
+`solve` takes one of two paths:
 
   * the fixed-point loop y <- alpha A y + (1 - alpha) f. Its max-abs
     change contracts by alpha per sweep, so ||y - y*|| <= alpha / (1 -
@@ -46,8 +47,6 @@ from .errors import ConvergenceError, InvalidInputError
 from .graph import TransitionMatrix, build_sparsity, transition
 from .walk import rw_step, _check_scores
 
-MODES = ("iterate", "neumann", "dense_oracle")
-
 # dense solves above this pixel count are almost certainly a mistake
 DENSE_PIXEL_LIMIT = 4096
 
@@ -66,7 +65,6 @@ class SolverConfig:
     alpha: float = 0.01
     tolerance: float = 1e-6
     max_iterations: int = 10000
-    mode: str = "iterate"
 
     def validate(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -76,8 +74,6 @@ class SolverConfig:
             raise InvalidInputError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if self.mode not in MODES:
-            raise InvalidInputError(f"unknown solver mode {self.mode!r}")
 
     def __post_init__(self):
         self.validate()
@@ -199,16 +195,10 @@ def dense_oracle_solve(a: TransitionMatrix, f: np.ndarray,
 
 
 def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """The damped fixed point (1 - alpha) (I - alpha A)^-1 f by the
-    configured mode. "iterate" runs conjugate gradients when alpha >=
-    CG_MIN_ALPHA and W is exactly symmetric, and the fixed-point loop
-    otherwise; "neumann" and "dense_oracle" scale their resolvent by
-    (1 - alpha)."""
+    """The damped fixed point (1 - alpha) (I - alpha A)^-1 f, by conjugate
+    gradients when alpha >= CG_MIN_ALPHA and W is exactly symmetric, and
+    by the fixed-point loop otherwise."""
     cfg.validate()
-    if cfg.mode == "neumann":
-        return (1.0 - cfg.alpha) * solve_closed_form(a, f, cfg)
-    if cfg.mode == "dense_oracle":
-        return (1.0 - cfg.alpha) * dense_oracle_solve(a, f, cfg.alpha)
     if cfg.alpha >= CG_MIN_ALPHA and a.symmetric:
         return _symmetric_cg(a, f, cfg)
     y, _ = diffuse_to_convergence(a, f, cfg)

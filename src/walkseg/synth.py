@@ -43,6 +43,9 @@ class SceneSpec:
                 raise InvalidInputError(f"unknown shape type {name!r}")
         if not self.shape_types:
             raise InvalidInputError("no shape types configured")
+        for name in ("texture_sigma", "noise_sigma"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be finite and >= 0")
 
 
 def class_palette(num_classes: int) -> np.ndarray:

@@ -1,11 +1,15 @@
 import hashlib
 import os
+import string
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkseg import pipeline, pnm
 from walkseg.cli import main
@@ -25,7 +29,6 @@ def test_serialize_parse_roundtrip():
     cfg = Config()
     cfg.train.learning_rate = 3e-4
     cfg.scene.shape_types = ("ellipse", "polygon")
-    cfg.solver.mode = "neumann"
     text = serialize_config(cfg)
     reparsed = parse_config(text)
     assert serialize_config(reparsed) == text
@@ -38,11 +41,10 @@ def test_parse_ignores_comments_and_blanks():
     assert cfg.train.batch_size == 7
 
 
-def test_infer_section_carries_radius_and_metric():
-    cfg = parse_config("infer.radius = 9\ninfer.metric = chebyshev\n")
+def test_infer_section_carries_radius():
+    cfg = parse_config("infer.radius = 9\n")
     assert cfg.infer.radius == 9
-    assert cfg.infer.metric == "chebyshev"
-    assert "infer.metric = chebyshev" in serialize_config(cfg)
+    assert "infer.radius = 9" in serialize_config(cfg)
 
 
 def test_unknown_keys_rejected():
@@ -69,6 +71,162 @@ def test_paper_preset_is_the_reference_recipe():
     assert cfg.train.train_radius == 40
     assert cfg.train.alpha == 0.01
     assert "paper" in PRESETS and "smoke" in PRESETS
+
+
+# the canonical text of the defaults and of both presets, every key once
+GOLDEN = {
+    None: """\
+scene.height = 32
+scene.width = 32
+scene.num_classes = 4
+scene.min_shapes = 4
+scene.max_shapes = 7
+scene.shape_types = ellipse,rectangle,polygon
+scene.texture_sigma = 0.02
+scene.noise_sigma = 0.02
+scene.seed = 7
+generate.train_count = 100
+generate.test_count = 20
+bank.f1 = 64
+bank.f2 = 64
+bank.seed = 0
+train.learning_rate = 0.01
+train.momentum = 0.9
+train.weight_decay = 5e-05
+train.batch_size = 15
+train.iterations = 2000
+train.train_radius = 40
+train.alpha = 0.01
+train.seg_loss_weight = 1.0
+train.aff_loss_weight = 1.0
+train.seed = 0
+train.augment_hflip = true
+solver.alpha = 0.01
+solver.tolerance = 1e-06
+solver.max_iterations = 10000
+infer.radius = 5
+corrupt.band_width = 4
+corrupt.flip_prob = 0.3
+corrupt.blur_radius = 1
+corrupt.seed = 0
+eval.trimap_max_width = 10
+eval.boundary_tolerance = 2.0
+eval.thresholds = 20
+""",
+    "paper": """\
+scene.height = 32
+scene.width = 32
+scene.num_classes = 4
+scene.min_shapes = 4
+scene.max_shapes = 7
+scene.shape_types = ellipse,rectangle,polygon
+scene.texture_sigma = 0.02
+scene.noise_sigma = 0.02
+scene.seed = 7
+generate.train_count = 100
+generate.test_count = 20
+bank.f1 = 64
+bank.f2 = 64
+bank.seed = 0
+train.learning_rate = 1e-05
+train.momentum = 0.9
+train.weight_decay = 5e-05
+train.batch_size = 15
+train.iterations = 2000
+train.train_radius = 40
+train.alpha = 0.01
+train.seg_loss_weight = 1.0
+train.aff_loss_weight = 1.0
+train.seed = 0
+train.augment_hflip = true
+solver.alpha = 0.01
+solver.tolerance = 1e-06
+solver.max_iterations = 10000
+infer.radius = 5
+corrupt.band_width = 4
+corrupt.flip_prob = 0.3
+corrupt.blur_radius = 1
+corrupt.seed = 0
+eval.trimap_max_width = 10
+eval.boundary_tolerance = 2.0
+eval.thresholds = 20
+""",
+    "smoke": """\
+scene.height = 24
+scene.width = 24
+scene.num_classes = 4
+scene.min_shapes = 4
+scene.max_shapes = 7
+scene.shape_types = ellipse,rectangle,polygon
+scene.texture_sigma = 0.02
+scene.noise_sigma = 0.02
+scene.seed = 7
+generate.train_count = 12
+generate.test_count = 4
+bank.f1 = 8
+bank.f2 = 8
+bank.seed = 0
+train.learning_rate = 0.01
+train.momentum = 0.9
+train.weight_decay = 5e-05
+train.batch_size = 3
+train.iterations = 200
+train.train_radius = 5
+train.alpha = 0.01
+train.seg_loss_weight = 1.0
+train.aff_loss_weight = 0.0001
+train.seed = 0
+train.augment_hflip = true
+solver.alpha = 0.01
+solver.tolerance = 1e-06
+solver.max_iterations = 10000
+infer.radius = 5
+corrupt.band_width = 4
+corrupt.flip_prob = 0.3
+corrupt.blur_radius = 1
+corrupt.seed = 0
+eval.trimap_max_width = 10
+eval.boundary_tolerance = 2.0
+eval.thresholds = 20
+""",
+}
+
+
+@pytest.mark.parametrize("preset", list(GOLDEN))
+def test_serialized_config_is_pinned(preset):
+    cfg = Config()
+    if preset:
+        apply_preset(cfg, preset)
+    text = serialize_config(cfg)
+    assert text == GOLDEN[preset]
+    assert len(text.splitlines()) == 36
+
+
+# random values of each declared key type; a key of any other type fails
+VALUES = {
+    int: st.integers(-2 ** 40, 2 ** 40),
+    float: st.floats(allow_nan=False),
+    str: st.text(string.ascii_letters + string.digits + "_-", min_size=1),
+    bool: st.booleans(),
+    tuple: st.lists(st.text(string.ascii_lowercase + "_", min_size=1),
+                    max_size=4).map(tuple),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_key_round_trips(data):
+    cfg = Config()
+    for section in fields(Config):
+        values = getattr(cfg, section.name)
+        for key in fields(values):
+            dotted = f"{section.name}.{key.name}"
+            assert key.type in VALUES, f"{dotted} has no parser"
+            setattr(values, key.name, data.draw(VALUES[key.type], label=dotted))
+    text = serialize_config(cfg)
+    reparsed = parse_config(text)
+    assert reparsed == cfg
+    assert serialize_config(reparsed) == text
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +270,37 @@ def test_usage_error_exit_code():
 
 def test_unknown_config_key_exit_code(tmp_path):
     assert main(["generate", "--set", "bogus.key=1", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("override", ["solver.mode=iterate",
+                                      "infer.metric=euclidean"])
+def test_removed_config_keys_are_unknown(override, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["generate", "--set", override, str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_has_no_mode_flag(tmp_path, capsys):
+    assert main(["infer", "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--image", str(tmp_path / "in.ppm"),
+                 "--out-labels", str(tmp_path / "out.pgm"),
+                 "--mode", "iterate"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("override", [
+    "scene.noise_sigma=-1", "scene.texture_sigma=nan",
+    "scene.noise_sigma=inf", "generate.train_count=-2",
+    "generate.test_count=-1"])
+def test_generate_rejects_bad_scene_settings(override, tmp_path, capsys):
+    """Negative or non-finite sigmas and negative counts are data errors
+    (exit 2, one line, no traceback) raised before anything is written."""
+    out = tmp_path / "data"
+    assert main(["generate", "--set", override, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -206,24 +395,6 @@ def test_infer_converge_matches_solver(smoke_workspace, tmp_path):
     expected, _ = predict(load_checkpoint(ckpt), image, steps="converge",
                           radius=5, solver_cfg=SolverConfig())
     np.testing.assert_array_equal(pnm.read_pgm(out), expected)
-
-
-def test_infer_probabilities_do_not_depend_on_mode(smoke_workspace, tmp_path):
-    """Every --mode returns the damped fixed-point scale, so the dumped
-    probabilities agree to the solver tolerance (at alpha 0.7 "iterate"
-    runs conjugate gradients on the learned, symmetric affinities)."""
-    root, data, ckpt, _, overrides = smoke_workspace
-    dumps = []
-    for mode in ("iterate", "neumann", "dense_oracle"):
-        probs = tmp_path / f"{mode}.f64"
-        assert main(["infer", *overrides, "--checkpoint", str(ckpt),
-                     "--image", str(data / "test" / "img002.ppm"),
-                     "--out-labels", str(tmp_path / f"{mode}.pgm"),
-                     "--out-probs", str(probs), "--alpha", "0.7",
-                     "--mode", mode]) == 0
-        dumps.append(np.frombuffer(probs.read_bytes(), dtype="<f8"))
-    np.testing.assert_allclose(dumps[0], dumps[2], atol=1e-6)
-    np.testing.assert_allclose(dumps[1], dumps[2], atol=1e-6)
 
 
 def test_infer_affinity_dump(smoke_workspace, tmp_path):
@@ -342,6 +513,23 @@ def test_eval_missing_pair_lists_file(smoke_workspace, tmp_path, capsys):
                  "--out-csv", str(tmp_path / "m.csv")])
     assert code == 2
     assert "lab000.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "eval.thresholds=0", "eval.thresholds=-3",
+    "eval.boundary_tolerance=-1", "eval.boundary_tolerance=nan",
+    "eval.boundary_tolerance=inf"])
+def test_eval_rejects_bad_boundary_settings(override, tmp_path, capsys):
+    """Thresholds below 1 and a negative or non-finite boundary tolerance
+    are data errors: exit 2, one line, no traceback."""
+    gt = np.zeros((6, 6), dtype=np.int64)
+    gt[:, 3:] = 1
+    pnm.write_pgm(tmp_path / "a.pgm", gt)
+    code = main(["eval", "--pred-dir", str(tmp_path), "--gt-dir", str(tmp_path),
+                 "--out-csv", str(tmp_path / "m.csv"), "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_ablate_steps_csv(smoke_workspace, tmp_path):

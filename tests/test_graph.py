@@ -46,12 +46,6 @@ def test_zero_dimension_rejected():
         build_sparsity(0, 3, 1)
 
 
-def test_chebyshev_metric_is_square_window():
-    euclid = build_sparsity(5, 5, 1)
-    cheby = build_sparsity(5, 5, 1, metric="chebyshev")
-    assert cheby.num_edges > euclid.num_edges  # diagonals included
-
-
 @settings(max_examples=25, deadline=None)
 @given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 4))
 def test_pattern_invariants(h, w, r):
@@ -88,8 +82,8 @@ def test_pattern_invariants(h, w, r):
 def test_pattern_is_memoised_and_read_only():
     pattern = build_sparsity(5, 7, 2)
     assert build_sparsity(5, 7, 2) is pattern
-    assert build_sparsity(np.int64(5), np.int64(7), 2, "euclidean") is pattern
-    assert build_sparsity(5, 7, 2, metric="chebyshev") is not pattern
+    assert build_sparsity(np.int64(5), np.int64(7), 2) is pattern
+    assert build_sparsity(5, 7, 3) is not pattern
     arrays = [value for value in vars(pattern).values()
               if isinstance(value, np.ndarray)]
     assert len(arrays) == 5
@@ -173,15 +167,14 @@ def test_affinity_symmetry_preserved():
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 9),
-       metric=st.sampled_from(["euclidean", "chebyshev"]),
        k=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-@example(h=1, w=7, r=3, metric="euclidean", k=1, m=2, seed=0)
-@example(h=7, w=1, r=9, metric="chebyshev", k=3, m=1, seed=1)
-@example(h=5, w=6, r=9, metric="euclidean", k=4, m=3, seed=2)
-@example(h=1, w=1, r=2, metric="euclidean", k=2, m=1, seed=3)
-def test_offset_major_layer_matches_gather(h, w, r, metric, k, m, seed):
+@example(h=1, w=7, r=3, k=1, m=2, seed=0)
+@example(h=7, w=1, r=9, k=3, m=1, seed=1)
+@example(h=5, w=6, r=9, k=4, m=3, seed=2)
+@example(h=1, w=1, r=2, k=2, m=1, seed=3)
+def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     rng = np.random.default_rng(seed)
-    pattern = build_sparsity(h, w, r, metric)
+    pattern = build_sparsity(h, w, r)
     stack = rng.uniform(0.0, 1.0, (h, w, k))
     theta = rng.normal(0.0, 1.0, k)
 
@@ -273,7 +266,7 @@ def test_pattern_build_memory_at_paper_radius():
     is built from one enumeration of the offsets in under 64 MB."""
     tracemalloc.start()
     try:
-        pattern = _build_sparsity.__wrapped__(32, 32, 40, "euclidean")
+        pattern = _build_sparsity.__wrapped__(32, 32, 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

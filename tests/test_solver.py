@@ -134,17 +134,19 @@ def test_budget_exhaustion_reports_residual():
     assert err.value.iterations == 3
 
 
-def test_solve_dispatches_all_modes():
+def test_solve_matches_scaled_reference_routes():
+    """`solve` returns the damped fixed point: (1 - alpha) times the
+    resolvent of the series and of the dense elimination."""
     a, _ = random_transition(3, 3, 1, seed=9)
     f = np.random.default_rng(6).standard_normal((9, 2))
-    cfg = dict(alpha=0.3, tolerance=1e-12)
-    y_fix = solve(a, f, SolverConfig(mode="iterate", **cfg))
-    y_ser = solve(a, f, SolverConfig(mode="neumann", **cfg))
-    y_den = solve(a, f, SolverConfig(mode="dense_oracle", **cfg))
-    np.testing.assert_allclose(y_fix, y_ser, atol=1e-9)
-    np.testing.assert_allclose(y_ser, y_den, atol=1e-9)
-    bad = SolverConfig(**cfg)
-    bad.mode = "nonsense"
+    cfg = SolverConfig(alpha=0.3, tolerance=1e-12)
+    y = solve(a, f, cfg)
+    np.testing.assert_allclose(
+        y, (1 - cfg.alpha) * solve_closed_form(a, f, cfg), atol=1e-9)
+    np.testing.assert_allclose(
+        y, (1 - cfg.alpha) * dense_oracle_solve(a, f, cfg.alpha), atol=1e-9)
+    bad = SolverConfig(alpha=0.3)
+    bad.alpha = 1.0
     with pytest.raises(InvalidInputError):
         solve(a, f, bad)
 
