@@ -122,6 +122,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _alpha(text: str) -> float:
+    """argparse type of --alpha: a finite number in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
 def _parse_int(flag: str, text: str) -> int:
     try:
         return int(text)
@@ -182,10 +190,12 @@ def cmd_eval(args) -> int:
                                   f"{pred_path}")
         pairs.append((pred_path, gt_path))
 
-    num_classes = args.classes
     maps = [(pnm.read_pgm(p), pnm.read_pgm(g)) for p, g in pairs]
-    if num_classes is None:
-        num_classes = 1 + max(max(int(p.max()), int(g.max())) for p, g in maps)
+    needed = 1 + max(max(int(p.max()), int(g.max())) for p, g in maps)
+    num_classes = needed if args.classes is None else args.classes
+    if num_classes < needed:
+        raise UsageError(f"--classes must be at least 1 + the largest label, "
+                         f"{needed}, got {num_classes}")
 
     widths = range(1, cfg.eval.trimap_max_width + 1)
     rows = []
@@ -333,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", default="converge",
                    help="walk steps, or 'converge'")
     p.add_argument("--radius", type=_positive_int)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_alpha)
     p.add_argument("--dump-affinity", metavar="PREFIX",
                    help="write W and A as 'i j value' text triplets")
     p.set_defaults(func=cmd_infer)

@@ -26,10 +26,9 @@ The E x k distance tensor is never held. `channel_distances` gathers
 that tensor in one piece; it is the reference path the tests compare
 against, not part of the pipeline.
 
-The sparse product alone wants CSR order. `SparsityPattern.csr` copies
-an edge array into a scipy CSR matrix through the sort permutation
-`slot`; `TransitionMatrix` builds that matrix once and multiplies by its
-transpose through the zero-copy CSC view.
+The sparse product reads the same order: `TransitionMatrix` wraps the
+pattern's `rows`, `cols` and its own values in one scipy COO matrix,
+with no copy and no sort, and multiplies by A^T through its transpose.
 
 Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
@@ -79,10 +78,9 @@ class SparsityPattern:
     pixel pair, and an edge array ``v`` is symmetric iff
     ``v[:half] == v[half:]``.
 
-    The CSR bridge of the sparse product: ``indptr[i]:indptr[i + 1]``
-    is the span of pixel i's edges in CSR order (row, then ascending
-    column), ``slot[c]`` is the offset-major slot of CSR slot c and
-    ``indices[c]`` its column, both in scipy's int32 where E fits.
+    ``indptr[i + 1] - indptr[i]`` is pixel i's neighbor count. The three
+    index arrays are int32 where E fits, the index type scipy keeps
+    without a copy.
     """
 
     height: int
@@ -92,8 +90,6 @@ class SparsityPattern:
     rows: np.ndarray
     cols: np.ndarray
     blocks: list = field(repr=False)
-    slot: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
 
     @property
     def num_pixels(self) -> int:
@@ -102,13 +98,6 @@ class SparsityPattern:
     @property
     def num_edges(self) -> int:
         return int(self.rows.size)
-
-    def csr(self, values: np.ndarray) -> sp.csr_matrix:
-        """An edge-value array as a scipy CSR matrix; only the values are
-        copied into CSR order, the matrix shares the read-only indices."""
-        n = self.num_pixels
-        return sp.csr_matrix((values[self.slot], self.indices, self.indptr),
-                             shape=(n, n))
 
 
 def _offset_windows(height, width, radius):
@@ -156,21 +145,18 @@ def _build_sparsity(height, width, radius):
         dsts.append(pixels[block.dst].ravel())
 
     # offset-major order: the edges (p, p + o), then their mirrors
-    empty = [np.empty(0, dtype=np.int64)]
-    rows = np.concatenate(srcs + dsts or empty)
-    cols = np.concatenate(dsts + srcs or empty)
-    del srcs, dsts
-    slot = np.lexsort((cols, rows))
-
     n = height * width
-    index = np.int32 if rows.size < 2 ** 31 else np.int64
-    indices = cols.astype(index)[slot]
+    edges = 2 * (blocks[-1].stop if blocks else 0)
+    index = np.int32 if edges < 2 ** 31 else np.int64
+    empty = [np.empty(0, dtype=index)]
+    rows = np.concatenate(srcs + dsts or empty, dtype=index)
+    cols = np.concatenate(dsts + srcs or empty, dtype=index)
+    del srcs, dsts
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    for array in (indptr, rows, cols, slot, indices):
+    for array in (indptr, rows, cols):
         array.setflags(write=False)
-    return SparsityPattern(height, width, radius, indptr, rows, cols, blocks,
-                           slot, indices)
+    return SparsityPattern(height, width, radius, indptr, rows, cols, blocks)
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -259,9 +245,10 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
     _check_head(grid.shape[2], theta)
     half = pattern.num_edges // 2
     w = np.empty(pattern.num_edges)
-    for slots, fdist in _distance_runs(grid, pattern):
-        w[slots] = w[half + slots.start:half + slots.stop] = affinity_forward(
-            fdist, theta)
+    with np.errstate(over="ignore"):  # overflow to inf is caught in transition
+        for slots, fdist in _distance_runs(grid, pattern):
+            w[slots] = w[half + slots.start:half + slots.stop] = _exp_head(
+                fdist, theta)
     return w
 
 
@@ -293,6 +280,11 @@ def _check_head(channels: int, theta: np.ndarray) -> None:
             f"{theta.shape}")
 
 
+def _exp_head(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The head's arithmetic, for a theta that `_check_head` passed."""
+    return np.exp(fdist @ theta)
+
+
 def affinity_forward(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Affinity head: W_e = exp(sum_c theta_c * fdist[e, c]).
 
@@ -304,7 +296,7 @@ def affinity_forward(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"bad distance tensor shape {fdist.shape}")
     _check_head(fdist.shape[1], theta)
     with np.errstate(over="ignore"):  # overflow to inf is caught in transition
-        return np.exp(fdist @ theta)
+        return _exp_head(fdist, theta)
 
 
 def affinity_backward(fdist: np.ndarray, w: np.ndarray,
@@ -346,30 +338,33 @@ class TransitionMatrix:
     step's (1 - alpha) f term. `symmetric` says that W was exactly
     symmetric, which the solver's conjugate gradients need and
     `values * degree[rows]` does not reproduce bit for bit; `transition`
-    sets it. The CSR copy of the values is built on the first product.
+    sets it. The first product wraps `values` and the pattern's index
+    arrays in a scipy COO matrix, without copying them, and keeps it.
     """
 
     pattern: SparsityPattern
     values: np.ndarray
     degree: np.ndarray
     symmetric: bool = False
-    _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
+    _coo: sp.coo_matrix = field(default=None, repr=False, compare=False)
 
     @property
     def num_pixels(self) -> int:
         return self.pattern.num_pixels
 
-    def _matrix(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = self.pattern.csr(self.values)
-        return self._csr
+    def _matrix(self) -> sp.coo_matrix:
+        if self._coo is None:
+            pattern, n = self.pattern, self.num_pixels
+            self._coo = sp.coo_matrix(
+                (self.values, (pattern.rows, pattern.cols)), shape=(n, n))
+        return self._coo
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a dense (n, m) matrix of per-pixel rows."""
         return self._matrix() @ x
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """A^T @ x, through the CSC view of A's CSR matrix (no copy)."""
+        """A^T @ x, through the transpose of A's COO matrix (no copy)."""
         return self._matrix().T @ x
 
     def dense(self) -> np.ndarray:
@@ -413,6 +408,7 @@ def transition_backward(a: TransitionMatrix, da: np.ndarray) -> np.ndarray:
 def dump_edges(pattern: SparsityPattern, values: np.ndarray, fh) -> None:
     """Write per-edge values as text triplets "i j value", one per line,
     sorted by (i, j)."""
-    slot = pattern.slot
-    for i, j, v in zip(pattern.rows[slot], pattern.indices, values[slot]):
+    order = np.lexsort((pattern.cols, pattern.rows))
+    rows, cols = pattern.rows[order], pattern.cols[order]
+    for i, j, v in zip(rows, cols, values[order]):
         fh.write(f"{i} {j} {float(v)!r}\n")

@@ -108,8 +108,9 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray,
     """Block conjugate gradients on (I - alpha S) z = D^1/2 f, one column
     per class with its own step and beta; returns y = (1 - alpha) D^-1/2 z.
 
-    S x = D^1/2 A (D^-1/2 x) reuses A's CSR. Rows without neighbors take
-    degree 1, so S is zero there and y = (1 - alpha) f, as in the loop.
+    S x = D^1/2 A (D^-1/2 x) reuses A's sparse matrix. Rows without
+    neighbors take degree 1, so S is zero there and y = (1 - alpha) f, as
+    in the loop.
     Stops when the error bound max_ic |r_ic| / sqrt(D_i) on y is below
     `tolerance`, confirmed on a recomputed residual.
     """
@@ -261,7 +262,7 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
         w = rng.uniform(0.5, 1.5, pattern.num_edges)
         a = transition(pattern, w)
         f = rng.standard_normal((pattern.num_pixels, num_classes))
-        a.matvec(f)  # warm the CSR shell before timing
+        a.matvec(f)  # build A's sparse matrix before timing
         step_ms = _median_time(lambda: a.matvec(f), repeats)
         begin = time.perf_counter()
         _, iters = diffuse_to_convergence(a, f, cfg)

@@ -234,6 +234,13 @@ def train(dataset, cfg: TrainConfig, bank: FilterBankConfig = None,
     bank = bank or FilterBankConfig()
     if num_classes is None:
         num_classes = 1 + max(int(np.max(labels)) for _, labels in dataset)
+    # bad labels are input errors; inside the loop they would read as divergence
+    for index, (_, labels) in enumerate(dataset):
+        low, high = int(np.min(labels)), int(np.max(labels))
+        if low < 0 or high >= num_classes:
+            raise InvalidInputError(
+                f"label map {index} has labels {low}..{high}, but "
+                f"num_classes is {num_classes}")
     state = init_state(bank.num_channels, num_classes, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
@@ -295,6 +302,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"unsupported checkpoint version {magic!r}")
         raise DataFormatError(f"not a checkpoint file (magic {magic!r})")
     k, m, f1, f2, seed, iteration = struct.unpack_from("<6I", blob, 8)
+    if m < 1:
+        raise DataFormatError("checkpoint has no classes")
     if k != 3 + f1 + f2:
         raise DataFormatError(
             f"channel count {k} does not match banks 3 + {f1} + {f2}")

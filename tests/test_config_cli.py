@@ -1,6 +1,7 @@
 import hashlib
 import os
 import string
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -19,7 +20,7 @@ from walkseg.errors import DataFormatError
 from walkseg.graph import affinity_forward, channel_distances
 from walkseg.pipeline import predict
 from walkseg.solver import SolverConfig
-from walkseg.training import load_checkpoint
+from walkseg.training import CHECKPOINT_MAGIC, load_checkpoint
 
 # ---------------------------------------------------------------------------
 # config text format
@@ -356,6 +357,50 @@ def test_train_divergence_exit_code(smoke_workspace, tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err, setting
 
 
+@pytest.mark.parametrize("bad_class, override", [
+    (7, []), (None, ["--set", "scene.num_classes=0"])])
+def test_train_rejects_labels_outside_classes(smoke_workspace, tmp_path,
+                                              capsys, bad_class, override):
+    """A label map holding a class >= scene.num_classes is bad input:
+    exit 2 before the first step, not a divergence, and nothing written."""
+    root, data, _, _, overrides = smoke_workspace
+    manifest = data / "train.txt"
+    if bad_class is not None:
+        labels = pnm.read_pgm(data / "train" / "lab001.pgm")
+        labels[0, 0] = bad_class
+        pnm.write_pgm(tmp_path / "bad.pgm", labels)
+        manifest = tmp_path / "bad.txt"
+        manifest.write_text(f"{data / 'train' / 'img000.ppm'} "
+                            f"{data / 'train' / 'lab000.pgm'}\n"
+                            f"{data / 'train' / 'img001.ppm'} "
+                            f"{tmp_path / 'bad.pgm'}\n")
+    ckpt, losses = tmp_path / "m.ckpt", tmp_path / "m.loss.csv"
+    capsys.readouterr()
+    code = main(["train", *overrides, *override, "--manifest", str(manifest),
+                 "--out-checkpoint", str(ckpt), "--loss-csv", str(losses)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not ckpt.exists() and not losses.exists()
+
+
+def test_zero_class_checkpoint_is_a_data_error(smoke_workspace, tmp_path,
+                                               capsys):
+    root, data, _, _, _ = smoke_workspace
+    ckpt = tmp_path / "empty.ckpt"
+    f1 = f2 = 1
+    k = 3 + f1 + f2
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<6I", k, 0, f1, f2, 0, 0)
+                     + np.zeros(k).astype("<f8").tobytes())
+    code = main(["infer", "--checkpoint", str(ckpt),
+                 "--image", str(data / "test" / "img000.ppm"),
+                 "--out-labels", str(tmp_path / "out.pgm")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out.pgm").exists()
+
+
 def test_train_missing_manifest_entry(smoke_workspace, tmp_path):
     root, data, _, _, overrides = smoke_workspace
     manifest = tmp_path / "broken.txt"
@@ -578,6 +623,10 @@ def test_bench_csv_header_and_timings(tmp_path):
     ["bench", "--sizes", "4x4", "--radius", "1", "--repeats", "0"],
     ["bench", "--sizes", "4x4", "--radius", "-1"],
     ["infer", "--radius", "0"],
+    ["infer", "--alpha", "1.5"],
+    ["infer", "--alpha", "nan"],
+    ["infer", "--alpha", "-0.1"],
+    ["eval", "--classes", "1"],
 ])
 def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys,
                                               tmp_path):
@@ -588,9 +637,16 @@ def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys,
         argv = [*argv, "--checkpoint", str(ckpt),
                 "--image", str(data / "test" / "img000.ppm"),
                 "--out-labels", str(tmp_path / "out.pgm")]
+    if argv[0] == "eval":
+        # the 4-class test labels scored against themselves
+        argv = [*argv, "--pred-dir", str(data / "test"),
+                "--gt-dir", str(data / "test"),
+                "--out-csv", str(tmp_path / "m.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
+    if argv[0] in ("infer", "eval"):
+        assert argv[1] in err  # the message names the flag
     assert "Traceback" not in err
 
 

@@ -56,16 +56,14 @@ def test_pattern_invariants(h, w, r):
     half = pattern.num_edges // 2
     assert np.array_equal(rows[half:], cols[:half])
     assert np.array_equal(cols[half:], rows[:half])
-    # each row lists distinct neighbors, as many as its CSR span
+    # each row lists distinct neighbors, as many as indptr counts
     for i in range(pattern.num_pixels):
         row = cols[rows == i]
         assert np.unique(row).size == row.size
         assert row.size == pattern.indptr[i + 1] - pattern.indptr[i]
-    # the CSR copy puts edge slot e's value at (rows[e], cols[e])
-    values = np.arange(1.0, pattern.num_edges + 1)
-    matrix = pattern.csr(values)
-    assert matrix.nnz == pattern.num_edges and matrix.has_sorted_indices
-    np.testing.assert_array_equal(matrix.toarray()[rows, cols], values)
+    # one index dtype, the int32 that scipy keeps without a copy
+    for array in (pattern.indptr, rows, cols):
+        assert array.dtype == np.int32
     # membership iff Euclidean offset within radius
     ys, xs = rows // w, rows % w
     yt, xt = cols // w, cols % w
@@ -86,8 +84,9 @@ def test_pattern_is_memoised_and_read_only():
     assert build_sparsity(5, 7, 3) is not pattern
     arrays = [value for value in vars(pattern).values()
               if isinstance(value, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 3
     for array in arrays:
+        assert array.dtype == np.int32
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
@@ -262,8 +261,9 @@ def test_offset_major_layer_memory_at_paper_radius():
 
 
 def test_pattern_build_memory_at_paper_radius():
-    """A fresh 32x32, R40 pattern, offset blocks and slot map included,
-    is built from one enumeration of the offsets in under 64 MB."""
+    """A fresh 32x32, R40 pattern, offset blocks included, is built from
+    one enumeration of the offsets in under 24 MB: the int64 pixel
+    indices of the blocks and the two int32 edge arrays."""
     tracemalloc.start()
     try:
         pattern = _build_sparsity.__wrapped__(32, 32, 40)
@@ -271,7 +271,7 @@ def test_pattern_build_memory_at_paper_radius():
     finally:
         tracemalloc.stop()
     assert pattern.num_edges == 1047048
-    assert peak < 64 * 2 ** 20
+    assert peak < 24 * 2 ** 20
 
 
 def test_learned_affinity_rejects_bad_parameters():
@@ -400,6 +400,52 @@ def test_rows_sum_to_one(h, w, r, seed):
                        minlength=a.num_pixels)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
     assert np.all(a.values > 0) and np.all(a.values <= 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 8),
+       mirrored=st.booleans(), seed=st.integers(0, 500))
+@example(h=1, w=1, r=1, mirrored=True, seed=0)
+@example(h=1, w=6, r=2, mirrored=False, seed=1)
+@example(h=1, w=5, r=3, mirrored=True, seed=2)
+@example(h=4, w=3, r=8, mirrored=False, seed=3)
+@example(h=5, w=5, r=7, mirrored=True, seed=4)
+def test_products_match_independent_dense(h, w, r, mirrored, seed):
+    """A @ x and A^T @ x against a dense A filled straight from the
+    pattern's edge list, for a single column and for several."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    weights = rng.uniform(0.1, 2.0, pattern.num_edges)
+    half = pattern.num_edges // 2
+    if mirrored:
+        weights[half:] = weights[:half]
+    a = transition(pattern, weights)
+    dense = np.zeros((pattern.num_pixels, pattern.num_pixels))
+    dense[pattern.rows, pattern.cols] = a.values
+    for x in (rng.standard_normal(pattern.num_pixels),
+              rng.standard_normal((pattern.num_pixels, 3))):
+        np.testing.assert_allclose(a.matvec(x), dense @ x,
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(a.rmatvec(x), dense.T @ x,
+                                   rtol=1e-12, atol=1e-14)
+
+
+def test_transition_memory_at_paper_radius():
+    """At 32x32, R40, A's product reads the edge arrays where they are:
+    after `transition` and the first product only A's values are held,
+    and the peak is the normalization's one temporary on top."""
+    pattern = build_sparsity(32, 32, 40)
+    w = np.random.default_rng(0).uniform(0.5, 1.5, pattern.num_edges)
+    x = np.ones((pattern.num_pixels, 4))
+    tracemalloc.start()
+    try:
+        a = transition(pattern, w)
+        a.matvec(x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * w.nbytes
+    assert peak < 2.5 * w.nbytes
 
 
 def test_row_scaling_leaves_transition_unchanged():
