@@ -201,13 +201,16 @@ def cmd_eval(args) -> int:
     rows = []
     band_hits = {w: [0, 0] for w in widths}
     pooled = {}
-    for (pred_path, _), (pred, gt) in zip(pairs, maps):
+    for (pred_path, gt_path), (pred, gt) in zip(pairs, maps):
         strength = metrics.extract_boundary_strength(
             metrics.onehot_probabilities(pred, num_classes), pred.shape)
-        mf, ap, curve = metrics.boundary_pr(
-            strength, metrics.label_boundary_mask(gt),
-            tolerance=cfg.eval.boundary_tolerance,
-            thresholds=cfg.eval.thresholds)
+        try:
+            mf, ap, curve = metrics.boundary_pr(
+                strength, metrics.label_boundary_mask(gt),
+                tolerance=cfg.eval.boundary_tolerance,
+                thresholds=cfg.eval.thresholds)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{gt_path}: {exc}") from exc
         rows.append((pred_path.name, metrics.mean_iou(pred, gt, num_classes),
                      metrics.overall_iou(pred, gt), mf, ap))
         for tau, precision, recall in curve:

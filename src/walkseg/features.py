@@ -105,4 +105,6 @@ def per_channel_normalize(stack: np.ndarray) -> np.ndarray:
     hi = stack.max(axis=(0, 1), keepdims=True)
     span = hi - lo
     span[span == 0.0] = 1.0  # constant channel: (x - lo) / 1 == 0
-    return (stack - lo) / span
+    out = stack - lo  # the one new array; the input stays as it was
+    out /= span
+    return out

@@ -160,16 +160,14 @@ def _build_sparsity(height, width, radius):
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    """The feature stack as a float64 (height, width, k) array; a flat
-    (pixels, k) stack is accepted too."""
+    """The (height, width, k) feature stack as float64."""
     stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim == 3:
-        if stack.shape[0] * stack.shape[1] != pattern.num_pixels:
-            raise InvalidInputError(
-                f"stack {stack.shape[:2]} does not match pattern "
-                f"{pattern.height}x{pattern.width}")
-    elif not (stack.ndim == 2 and stack.shape[0] == pattern.num_pixels):
+    if stack.ndim != 3:
         raise InvalidInputError(f"bad stack shape {stack.shape}")
+    if stack.shape[0] * stack.shape[1] != pattern.num_pixels:
+        raise InvalidInputError(
+            f"stack {stack.shape[:2]} does not match pattern "
+            f"{pattern.height}x{pattern.width}")
     return stack.reshape(pattern.height, pattern.width, stack.shape[-1])
 
 
@@ -311,12 +309,19 @@ def affinity_backward(fdist: np.ndarray, w: np.ndarray,
 
 def ground_truth_affinity(labels: np.ndarray,
                           pattern: SparsityPattern) -> np.ndarray:
-    """Target affinities: 1 where the edge joins same-label pixels, else 0."""
+    """Target affinities: 1 where the edge joins same-label pixels, else 0.
+
+    Slots t and t + E/2 join the same pixel pair, so only the first half
+    is compared and the second half is its copy."""
     labels = np.asarray(labels).ravel()
     if labels.size != pattern.num_pixels:
         raise InvalidInputError(
             f"{labels.size} labels for {pattern.num_pixels} pixels")
-    return (labels[pattern.rows] == labels[pattern.cols]).astype(np.float64)
+    half = pattern.num_edges // 2
+    targets = np.empty(pattern.num_edges)
+    targets[:half] = labels[pattern.rows[:half]] == labels[pattern.cols[:half]]
+    targets[half:] = targets[:half]
+    return targets
 
 
 def affinity_loss_grad(w: np.ndarray, targets: np.ndarray):

@@ -6,7 +6,8 @@ localization is scored two ways: the misclassification rate inside
 narrow bands around the true label boundaries ("trimap" curves), and
 precision/recall of predicted boundary strength against true boundary
 pixels with greedy one-to-one matching within a pixel tolerance, which
-yields a max F-score and an average precision.
+yields a max F-score and an average precision. The candidate pairs of a
+matching come from one KD-tree pair query.
 
 `trimap_counts` is the single banding implementation: `trimap_error`
 derives its per-map rates from it, and `walkseg eval` sums its counts
@@ -162,27 +163,15 @@ def greedy_match_boundaries(pred_points, gt_points, tolerance: float):
     gt_points = np.asarray(gt_points, dtype=np.float64)
     if len(gt_points) == 0 or len(pred_points) == 0:
         return []
-    tree = cKDTree(gt_points)
-    pairs_p, pairs_g, pairs_d = [], [], []
-    for pi, point in enumerate(pred_points):
-        candidates = tree.query_ball_point(point, tolerance)
-        if not candidates:
-            continue
-        dists = np.linalg.norm(gt_points[candidates] - point, axis=1)
-        pairs_p.extend([pi] * len(candidates))
-        pairs_g.extend(candidates)
-        pairs_d.extend(dists)
-    if not pairs_p:
-        return []
-    order = np.lexsort((pairs_g, pairs_p, pairs_d))
-    pred_taken = np.zeros(len(pred_points), dtype=bool)
-    gt_taken = np.zeros(len(gt_points), dtype=bool)
-    matches = []
-    for idx in order:
-        pi, gi = pairs_p[idx], pairs_g[idx]
-        if not pred_taken[pi] and not gt_taken[gi]:
-            pred_taken[pi] = True
-            gt_taken[gi] = True
+    # all pairs within `tolerance`, as records (i, j, v): pred, gt, distance
+    pairs = cKDTree(pred_points).sparse_distance_matrix(
+        cKDTree(gt_points), tolerance, output_type="ndarray")
+    order = np.lexsort((pairs["j"], pairs["i"], pairs["v"]))
+    pred_taken, gt_taken, matches = set(), set(), []
+    for pi, gi in zip(pairs["i"][order].tolist(), pairs["j"][order].tolist()):
+        if pi not in pred_taken and gi not in gt_taken:
+            pred_taken.add(pi)
+            gt_taken.add(gi)
             matches.append((pi, gi))
     return matches
 

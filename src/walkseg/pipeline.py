@@ -40,16 +40,10 @@ def model_scores(ckpt: ModelCheckpoint, image):
     return unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
 
 
-def model_affinities(ckpt: ModelCheckpoint, stack, radius: int):
-    """The radius pattern of a feature stack's grid and the checkpoint's
-    learned affinities W on it: (pattern, w)."""
-    pattern = build_sparsity(stack.shape[0], stack.shape[1], radius)
-    return pattern, learned_affinity(stack, pattern, ckpt.theta)
-
-
 def model_transition(ckpt: ModelCheckpoint, image, radius: int):
     stack = prepare_stack(image, ckpt.bank)
-    return transition(*model_affinities(ckpt, stack, radius))
+    pattern = build_sparsity(stack.shape[0], stack.shape[1], radius)
+    return transition(pattern, learned_affinity(stack, pattern, ckpt.theta))
 
 
 def diffuse(a, f, steps, cfg: SolverConfig):
@@ -76,7 +70,8 @@ def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
     stack = prepare_stack(image, ckpt.bank)
     y = unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
     if steps != 0 or dump_prefix:
-        pattern, w = model_affinities(ckpt, stack, radius)
+        pattern = build_sparsity(stack.shape[0], stack.shape[1], radius)
+        w = learned_affinity(stack, pattern, ckpt.theta)
         a = transition(pattern, w)
         if dump_prefix:
             for suffix, values in ((".W.txt", w), (".A.txt", a.values)):

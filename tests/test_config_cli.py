@@ -560,6 +560,25 @@ def test_eval_missing_pair_lists_file(smoke_workspace, tmp_path, capsys):
     assert "lab000.pgm" in capsys.readouterr().err
 
 
+def test_eval_names_the_map_without_boundaries(tmp_path, capsys):
+    """A uniform ground-truth map among normal ones: exit 2, the message
+    names that map, and no CSV is written."""
+    two_region = np.zeros((6, 6), dtype=np.int64)
+    two_region[:, 3:] = 1
+    for name, gt in (("a.pgm", two_region), ("b.pgm", np.ones((6, 6), np.int64)),
+                     ("c.pgm", two_region)):
+        pnm.write_pgm(tmp_path / name, gt)
+    out_csv = tmp_path / "m.csv"
+    code = main(["eval", "--pred-dir", str(tmp_path), "--gt-dir", str(tmp_path),
+                 "--out-csv", str(out_csv)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "b.pgm: ground truth has no boundary pixels" in err
+    assert "a.pgm" not in err and "c.pgm" not in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("override", [
     "eval.thresholds=0", "eval.thresholds=-3",
     "eval.boundary_tolerance=-1", "eval.boundary_tolerance=nan",

@@ -133,3 +133,12 @@ def test_normalize_idempotent(seed, k):
     once = per_channel_normalize(stack)
     twice = per_channel_normalize(once)
     np.testing.assert_array_equal(once, twice)
+
+
+def test_normalize_leaves_its_input_unchanged():
+    stack = np.random.default_rng(2).normal(0, 3, (4, 5, 3))
+    stack[:, :, 1] = 7.0  # a constant channel too
+    before = stack.copy()
+    out = per_channel_normalize(stack)
+    np.testing.assert_array_equal(stack, before)
+    assert not np.shares_memory(out, stack)

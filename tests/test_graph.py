@@ -122,6 +122,14 @@ def test_distance_shape_mismatch_rejected():
         channel_distances(np.ones((3, 3, 2)), build_sparsity(2, 2, 1))
 
 
+def test_flat_stack_rejected():
+    pattern = build_sparsity(2, 2, 1)
+    with pytest.raises(InvalidInputError, match="bad stack shape"):
+        channel_distances(np.ones((4, 2)), pattern)
+    with pytest.raises(InvalidInputError, match="bad stack shape"):
+        learned_affinity(np.ones((4, 2)), pattern, np.ones(2))
+
+
 # ---------------------------------------------------------------------------
 # affinity head
 
@@ -287,6 +295,19 @@ def test_learned_affinity_rejects_bad_parameters():
 
 # ---------------------------------------------------------------------------
 # targets and Euclidean loss
+
+
+@pytest.mark.parametrize("height,width,radius", [
+    (1, 1, 1), (1, 7, 2), (7, 1, 3), (3, 4, 5), (5, 5, 9), (6, 5, 2)])
+def test_targets_equal_the_per_edge_label_comparison(height, width, radius):
+    labels = np.random.default_rng(height * width).integers(
+        0, 3, (height, width))
+    pattern = build_sparsity(height, width, radius)
+    targets = ground_truth_affinity(labels, pattern)
+    flat = labels.ravel()
+    expected = (flat[pattern.rows] == flat[pattern.cols]).astype(np.float64)
+    assert targets.dtype == np.float64
+    np.testing.assert_array_equal(targets, expected)
 
 
 def test_uniform_labels_give_all_one_targets():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from walkseg import metrics
 from walkseg.errors import InvalidInputError
@@ -277,3 +278,71 @@ def test_greedy_matching_audit_on_random_instance():
     preds = [p for p, _ in matches]
     assert len(gts) == len(set(gts))
     assert len(preds) == len(set(preds))
+
+
+def per_point_matches(pred_points, gt_points, tolerance):
+    """The matcher as one ball query and one norm per predicted point."""
+    pred_points = np.asarray(pred_points, dtype=np.float64)
+    gt_points = np.asarray(gt_points, dtype=np.float64)
+    if len(gt_points) == 0 or len(pred_points) == 0:
+        return []
+    tree = cKDTree(gt_points)
+    pairs_p, pairs_g, pairs_d = [], [], []
+    for pi, point in enumerate(pred_points):
+        candidates = tree.query_ball_point(point, tolerance)
+        dists = np.linalg.norm(gt_points[candidates] - point, axis=1)
+        pairs_p.extend([pi] * len(candidates))
+        pairs_g.extend(candidates)
+        pairs_d.extend(dists)
+    pred_taken = np.zeros(len(pred_points), dtype=bool)
+    gt_taken = np.zeros(len(gt_points), dtype=bool)
+    matches = []
+    for idx in np.lexsort((pairs_g, pairs_p, pairs_d)):
+        pi, gi = pairs_p[idx], pairs_g[idx]
+        if not pred_taken[pi] and not gt_taken[gi]:
+            pred_taken[pi] = gt_taken[gi] = True
+            matches.append((pi, gi))
+    return matches
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), pred_count=st.integers(0, 30),
+       gt_count=st.integers(0, 30), grid=st.booleans(),
+       duplicates=st.booleans(),
+       tolerance=st.sampled_from([0.0, 0.5, 1.0, np.sqrt(2.0), 2.0,
+                                  np.sqrt(5.0), 3.0]))
+@example(seed=0, pred_count=0, gt_count=5, grid=True, duplicates=False,
+         tolerance=2.0)
+@example(seed=0, pred_count=5, gt_count=0, grid=True, duplicates=False,
+         tolerance=2.0)
+@example(seed=1, pred_count=20, gt_count=20, grid=True, duplicates=True,
+         tolerance=0.0)
+def test_greedy_matching_equals_per_point_reference(seed, pred_count,
+                                                    gt_count, grid,
+                                                    duplicates, tolerance):
+    """Integer points (whose distances land exactly on the tolerances
+    1, sqrt 2, 2, sqrt 5 and 3) and float points, with repeated points
+    on both sides, give the same match list, int for int."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        pred = rng.integers(0, 6, (pred_count, 2)).astype(float)
+        gt = rng.integers(0, 6, (gt_count, 2)).astype(float)
+    else:
+        pred = rng.random((pred_count, 2)) * 6
+        gt = rng.random((gt_count, 2)) * 6
+    if duplicates and pred_count and gt_count:
+        pred[:pred_count // 2] = gt[rng.integers(0, gt_count, pred_count // 2)]
+        gt[gt_count // 2:] = gt[0]
+    matches = greedy_match_boundaries(pred, gt, tolerance)
+    assert matches == per_point_matches(pred, gt, tolerance)
+    assert all(type(i) is int for pair in matches for i in pair)
+
+
+def test_greedy_matching_includes_pairs_at_exactly_the_tolerance():
+    gt_points = np.array([[0.0, 0.0], [10.0, 10.0]])
+    pred_points = np.array([[0.0, 2.0], [11.0, 11.0]])
+    assert greedy_match_boundaries(pred_points, gt_points,
+                                   2.0) == [(1, 1), (0, 0)]
+    assert greedy_match_boundaries(pred_points, gt_points,
+                                   np.sqrt(2.0)) == [(1, 1)]
+    assert greedy_match_boundaries(pred_points, gt_points, 1.0) == []
