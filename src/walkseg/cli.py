@@ -21,7 +21,7 @@ from .errors import (ConvergenceError, DataFormatError, DivergenceError,
 from .pipeline import (argmax_labels, diffuse, oracle_scene,
                        oracle_transition, predict)
 from .solver import bench_step_vs_solve
-from .training import load_checkpoint, save_checkpoint, train
+from .training import load_checkpoint, save_checkpoint, softmax, train
 
 
 class UsageError(Exception):
@@ -162,11 +162,8 @@ def cmd_infer(args) -> int:
                              dump_prefix=args.dump_affinity)
     pnm.write_pgm(args.out_labels, labels)
     if args.out_probs:
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
         with open(args.out_probs, "wb") as fh:
-            fh.write(probs.astype("<f8").tobytes())
+            fh.write(softmax(scores).astype("<f8").tobytes())
         sidecar = Path(args.out_probs).with_suffix(
             Path(args.out_probs).suffix + ".txt")
         sidecar.write_text(

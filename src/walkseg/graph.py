@@ -19,12 +19,15 @@ the same pixel pairs in the opposite direction and in the same order,
 so one block serves both. The pattern is built by one enumeration of
 the offsets > (0, 0), which lists the edges offset-major: the edges
 (p, p + o) block by block, then their mirrors in the same order, so
-slots t and t + E/2 join the same pixel pair. `learned_affinity`, its
-backward pass and `walk.rw_backward_a` work through the offset blocks,
-the affinity head on runs of whole window rows of about 1 MiB each.
-The E x k distance tensor is never held. `channel_distances` gathers
-that tensor in one piece; it is the reference path the tests compare
-against, not part of the pipeline.
+slots t and t + E/2 join the same pixel pair. The same enumeration
+plans the runs of the affinity head: it cuts a window of more than
+`_RUN_EDGES` edges into bands of whole rows and groups consecutive
+blocks into runs of at most that many edges (1 MiB of distances at
+k = 131), and the pattern keeps that plan. `learned_affinity`, its
+backward pass and `walk.rw_backward_a` work through the blocks, the
+affinity head a run at a time, so the E x k distance tensor is never
+held. `channel_distances` gathers that tensor in one piece; it is the
+reference path the tests compare against, not part of the pipeline.
 
 The sparse product reads the same order: `TransitionMatrix` wraps the
 pattern's `rows`, `cols` and its own values in one scipy COO matrix,
@@ -44,14 +47,15 @@ import scipy.sparse as sp
 from .errors import InvalidInputError
 
 
-# a run of distances holds at most this many values (1 MiB of float64),
-# unless a single grid row holds more (see `_distance_runs`)
-_RUN_VALUES = 1 << 17
+# a run of distances holds at most this many edges (1 MiB of float64 at
+# 131 channels), unless a single grid row holds more (see `SparsityPattern`)
+_RUN_EDGES = 1000
 
 
 @dataclass
 class OffsetBlock:
-    """The edges of one offset o = (dy, dx) > (0, 0) and of its mirror -o.
+    """A band of whole window rows of one offset o = (dy, dx) > (0, 0),
+    and of its mirror -o.
 
     Offset o joins each pixel of the grid window `src` (a pair of row
     and column slices) to the pixel at the same place in `dst`, which is
@@ -72,11 +76,17 @@ class SparsityPattern:
 
     Edge slot e is the directed pair (rows[e], cols[e]), in offset-major
     order: the first half of the slots holds the edges (p, p + o) of
-    every offset o > (0, 0), one of `blocks` per offset in ascending
-    (dy, dx) order; the second half holds the mirrored edges (p + o, p)
-    in the same order. So slots t and t + num_edges // 2 join the same
-    pixel pair, and an edge array ``v`` is symmetric iff
-    ``v[:half] == v[half:]``.
+    every offset o > (0, 0) in ascending (dy, dx) order, listed by
+    `blocks`; the second half holds the mirrored edges (p + o, p) in the
+    same order. So slots t and t + num_edges // 2 join the same pixel
+    pair, and an edge array ``v`` is symmetric iff ``v[:half] == v[half:]``.
+
+    The pattern carries the run plan of the learned affinities. An
+    offset's window is one block, or, where it holds more than
+    `_RUN_EDGES` edges, row bands of at most that many (one grid row at
+    least). `runs` groups consecutive blocks into runs of at most
+    `_RUN_EDGES` edges, of which only a one-row band can hold more, and
+    `blocks` is their concatenation.
 
     ``indptr[i + 1] - indptr[i]`` is pixel i's neighbor count. The three
     index arrays are int32 where E fits, the index type scipy keeps
@@ -90,6 +100,7 @@ class SparsityPattern:
     rows: np.ndarray
     cols: np.ndarray
     blocks: list = field(repr=False)
+    runs: list = field(repr=False)
 
     @property
     def num_pixels(self) -> int:
@@ -98,22 +109,6 @@ class SparsityPattern:
     @property
     def num_edges(self) -> int:
         return int(self.rows.size)
-
-
-def _offset_windows(height, width, radius):
-    """Yield (dy, dx, y0, y1, x0, x1) for every offset (dy, dx) > (0, 0)
-    of Euclidean length at most `radius` that joins at least one pixel
-    pair, in ascending order.
-
-    Pixel (y, x) with y0 <= y < y1 and x0 <= x < x1 has the neighbor
-    (y + dy, x + dx).
-    """
-    span_y = min(int(radius), height - 1)
-    span_x = min(int(radius), width - 1)
-    for dy in range(span_y + 1):
-        for dx in range(-span_x if dy else 1, span_x + 1):
-            if dy * dy + dx * dx <= radius * radius:
-                yield dy, dx, 0, height - dy, max(0, -dx), width - max(0, dx)
 
 
 def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
@@ -133,16 +128,29 @@ def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
 @functools.lru_cache(maxsize=4)
 def _build_sparsity(height, width, radius):
     pixels = np.arange(height * width, dtype=np.int64).reshape(height, width)
-    blocks, srcs, dsts = [], [], []
-    for dy, dx, y0, y1, x0, x1 in _offset_windows(height, width, radius):
-        start = blocks[-1].stop if blocks else 0
-        block = OffsetBlock(
-            (slice(y0, y1), slice(x0, x1)),
-            (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
-            start, start + (y1 - y0) * (x1 - x0))
-        blocks.append(block)
-        srcs.append(pixels[block.src].ravel())
-        dsts.append(pixels[block.dst].ravel())
+    blocks, runs, srcs, dsts = [], [], [], []
+    span_y, span_x = min(int(radius), height - 1), min(int(radius), width - 1)
+    for dy in range(span_y + 1):
+        for dx in range(-span_x if dy else 1, span_x + 1):
+            if dy * dy + dx * dx > radius * radius:
+                continue
+            # pixel (y, x) of the window has the neighbor (y + dy, x + dx)
+            x0, x1 = max(0, -dx), width - max(0, dx)
+            step = max(1, _RUN_EDGES // (x1 - x0))
+            for y0 in range(0, height - dy, step):
+                y1 = min(y0 + step, height - dy)
+                start = blocks[-1].stop if blocks else 0
+                block = OffsetBlock(
+                    (slice(y0, y1), slice(x0, x1)),
+                    (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
+                    start, start + (y1 - y0) * (x1 - x0))
+                if runs and block.stop - runs[-1][0].start <= _RUN_EDGES:
+                    runs[-1].append(block)
+                else:
+                    runs.append([block])
+                blocks.append(block)
+                srcs.append(pixels[block.src].ravel())
+                dsts.append(pixels[block.dst].ravel())
 
     # offset-major order: the edges (p, p + o), then their mirrors
     n = height * width
@@ -156,7 +164,8 @@ def _build_sparsity(height, width, radius):
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     for array in (indptr, rows, cols):
         array.setflags(write=False)
-    return SparsityPattern(height, width, radius, indptr, rows, cols, blocks)
+    return SparsityPattern(height, width, radius, indptr, rows, cols, blocks,
+                           runs)
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -164,11 +173,11 @@ def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise InvalidInputError(f"bad stack shape {stack.shape}")
-    if stack.shape[0] * stack.shape[1] != pattern.num_pixels:
+    if stack.shape[:2] != (pattern.height, pattern.width):
         raise InvalidInputError(
             f"stack {stack.shape[:2]} does not match pattern "
             f"{pattern.height}x{pattern.width}")
-    return stack.reshape(pattern.height, pattern.width, stack.shape[-1])
+    return stack
 
 
 def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -183,45 +192,20 @@ def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray
     return np.abs(flat[pattern.rows] - flat[pattern.cols])
 
 
-def _row_bands(block: OffsetBlock, cap: int):
-    """`block` in bands of as many whole window rows as fit in `cap`
-    edges, one row at least."""
-    (ys, xs), (yd, xd) = block.src, block.dst
-    width = xs.stop - xs.start
-    step = max(1, cap // width)
-    for r0 in range(0, ys.stop - ys.start, step):
-        r1 = min(r0 + step, ys.stop - ys.start)
-        yield OffsetBlock((slice(ys.start + r0, ys.start + r1), xs),
-                          (slice(yd.start + r0, yd.start + r1), xd),
-                          block.start + r0 * width, block.start + r1 * width)
-
-
 def _distance_runs(grid: np.ndarray, pattern: SparsityPattern):
-    """Yield (slots, distances) per run of row bands: the slice of
+    """Yield (slots, distances) per run of `pattern.runs`: the slice of
     first-half slots the run covers and its edges' distances
     |S[src] - S[dst]| as (edges, k) rows. Every run overwrites one
     shared buffer, so a caller must be done with a run before asking
     for the next."""
-    k = grid.shape[2]
-    cap = max(1, _RUN_VALUES // max(k, 1))
-    # blocks over `cap` edges are cut into row bands; consecutive bands
-    # share a run of at most `cap` edges, only a one-row band is longer
-    runs = []
-    for block in pattern.blocks:
-        for band in ((block,) if block.stop - block.start <= cap
-                     else _row_bands(block, cap)):
-            if runs and band.stop - runs[-1][0].start <= cap:
-                runs[-1].append(band)
-            else:
-                runs.append([band])
-    buffer = np.empty((max(cap, pattern.width), k))
-    for run in runs:
+    buffer = np.empty((max(_RUN_EDGES, pattern.width), grid.shape[2]))
+    for run in pattern.runs:
         first = run[0].start
         fdist = buffer[:run[-1].stop - first]
-        for band in run:
-            src = grid[band.src]
-            out = fdist[band.start - first:band.stop - first]
-            np.subtract(src, grid[band.dst], out=out.reshape(src.shape))
+        for block in run:
+            src = grid[block.src]
+            out = fdist[block.start - first:block.stop - first]
+            np.subtract(src, grid[block.dst], out=out.reshape(src.shape))
         np.abs(fdist, out=fdist)
         yield slice(first, run[-1].stop), fdist
 
@@ -232,8 +216,8 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
 
     Equal, up to the rounding of each edge's dot product, to
     ``affinity_forward(channel_distances(stack, pattern), theta)``, but
-    computed a run of row bands at a time (see `SparsityPattern`), so
-    the distances held at once take at most about 1 MiB, or one grid
+    computed a run of blocks at a time (see `SparsityPattern`), so the
+    distances held at once take at most `_RUN_EDGES` rows, or one grid
     row where a row is wider than that.
     A pixel pair's two edges get the same value, so the two halves of
     ``w`` are equal exactly.
@@ -313,10 +297,12 @@ def ground_truth_affinity(labels: np.ndarray,
 
     Slots t and t + E/2 join the same pixel pair, so only the first half
     is compared and the second half is its copy."""
-    labels = np.asarray(labels).ravel()
-    if labels.size != pattern.num_pixels:
+    labels = np.asarray(labels)
+    if labels.shape != (pattern.height, pattern.width):
         raise InvalidInputError(
-            f"{labels.size} labels for {pattern.num_pixels} pixels")
+            f"labels {labels.shape} do not match pattern "
+            f"{pattern.height}x{pattern.width}")
+    labels = labels.ravel()
     half = pattern.num_edges // 2
     targets = np.empty(pattern.num_edges)
     targets[:half] = labels[pattern.rows[:half]] == labels[pattern.cols[:half]]

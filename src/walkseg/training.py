@@ -102,6 +102,12 @@ def unary_forward(flat_stack: np.ndarray, params: UnaryParams) -> np.ndarray:
     return flat_stack @ params.weights.T + params.bias
 
 
+def softmax(y: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, each row shifted by its maximum before exp."""
+    expy = np.exp(y - y.max(axis=1, keepdims=True))
+    return expy / expy.sum(axis=1, keepdims=True)
+
+
 def softmax_loss_grad(y: np.ndarray, labels: np.ndarray):
     """Mean per-pixel cross-entropy after a row-wise softmax.
 
@@ -113,9 +119,7 @@ def softmax_loss_grad(y: np.ndarray, labels: np.ndarray):
         raise InvalidInputError(f"{labels.size} labels for {n} rows")
     if labels.min() < 0 or labels.max() >= m:
         raise InvalidInputError("label index out of range")
-    shifted = y - y.max(axis=1, keepdims=True)
-    expy = np.exp(shifted)
-    probs = expy / expy.sum(axis=1, keepdims=True)
+    probs = softmax(y)
     picked = probs[np.arange(n), labels]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
     dy = probs

@@ -122,6 +122,23 @@ def test_distance_shape_mismatch_rejected():
         channel_distances(np.ones((3, 3, 2)), build_sparsity(2, 2, 1))
 
 
+def test_stack_or_labels_of_another_grid_shape_rejected():
+    """Equal pixel counts are not enough: a 2x8 stack or label map does
+    not fit a 4x4 pattern."""
+    pattern = build_sparsity(4, 4, 1)
+    stack = np.random.default_rng(0).random((2, 8, 2))
+    with pytest.raises(InvalidInputError, match="does not match"):
+        channel_distances(stack, pattern)
+    with pytest.raises(InvalidInputError, match="does not match"):
+        learned_affinity(stack, pattern, np.ones(2))
+    w = np.ones(pattern.num_edges)
+    with pytest.raises(InvalidInputError, match="does not match"):
+        learned_affinity_backward(stack, pattern, w, w)
+    for labels in (np.zeros((2, 8)), np.zeros(16)):
+        with pytest.raises(InvalidInputError, match="do not match"):
+            ground_truth_affinity(labels, pattern)
+
+
 def test_flat_stack_rejected():
     pattern = build_sparsity(2, 2, 1)
     with pytest.raises(InvalidInputError, match="bad stack shape"):
@@ -216,25 +233,25 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 9), w=st.integers(1, 9), r=st.integers(1, 10),
-       k=st.integers(1, 4), run_values=st.integers(1, 48),
+       k=st.integers(1, 4), cap=st.integers(1, 48),
        seed=st.integers(0, 2 ** 16))
-@example(h=1, w=9, r=4, k=2, run_values=6, seed=0)
-@example(h=9, w=1, r=4, k=1, run_values=2, seed=1)
-@example(h=5, w=6, r=10, k=3, run_values=3, seed=2)
-@example(h=8, w=8, r=9, k=4, run_values=48, seed=3)
-def test_row_band_runs_match_gather(h, w, r, k, run_values, seed):
+@example(h=1, w=9, r=4, k=2, cap=3, seed=0)
+@example(h=9, w=1, r=4, k=1, cap=2, seed=1)
+@example(h=5, w=6, r=10, k=3, cap=1, seed=2)
+@example(h=8, w=8, r=9, k=4, cap=12, seed=3)
+def test_row_band_runs_match_gather(h, w, r, k, cap, seed):
     """With the run size cut down, large offset blocks are split into
     row bands (one-row bands and rows wider than the cap included); the
     runs still tile the first half in order and give the gathered
     affinities and dtheta."""
     rng = np.random.default_rng(seed)
-    pattern = build_sparsity(h, w, r)
     stack = rng.uniform(0.0, 1.0, (h, w, k))
     theta = rng.normal(0.0, 1.0, k)
-    dw = rng.standard_normal(pattern.num_edges)
-    half = pattern.num_edges // 2
-    cap = max(1, run_values // k)
-    with mock.patch.object(graph, "_RUN_VALUES", run_values):
+    with mock.patch.object(graph, "_RUN_EDGES", cap):
+        # a fresh build: the memoised pattern keeps the plan it was built with
+        pattern = _build_sparsity.__wrapped__(h, w, r)
+        dw = rng.standard_normal(pattern.num_edges)
+        half = pattern.num_edges // 2
         covered = 0
         for slots, fdist in graph._distance_runs(stack, pattern):
             assert slots.start == covered and fdist.shape[0] == slots.stop - covered
@@ -249,6 +266,45 @@ def test_row_band_runs_match_gather(h, w, r, k, run_values, seed):
     np.testing.assert_array_equal(w_new[:half], w_new[half:])
     np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
     assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
+
+
+def test_run_plan_partitions_the_blocks():
+    """On every small grid and at the two workload sizes, `runs`
+    partitions `blocks` in order, each run as long as the cap allows,
+    and the blocks, bands of whole window rows, tile the first half of
+    `rows`/`cols`. At 32x32, R40 no window exceeds the cap, so each
+    block is a whole offset; at 64x64, R5 the 40 offset windows are cut
+    into 170 bands."""
+    cap = graph._RUN_EDGES
+    small = [(h, w, r) for h in range(1, 13) for w in range(1, 13)
+             for r in range(1, 7)]
+    for h, w, r in small + [(32, 32, 40), (64, 64, 5)]:
+        pattern = build_sparsity(h, w, r)
+        flat = [block for run in pattern.runs for block in run]
+        assert len(flat) == len(pattern.blocks)
+        assert all(a is b for a, b in zip(flat, pattern.blocks))
+        for run, after in zip(pattern.runs, pattern.runs[1:] + [None]):
+            size = run[-1].stop - run[0].start
+            assert size <= cap or (len(run) == 1 and size <= w)
+            # runs are filled greedily: the next block did not fit
+            assert after is None or after[0].stop - run[0].start > cap
+        pixels = np.arange(h * w).reshape(h, w)
+        half = pattern.num_edges // 2
+        covered = 0
+        for block in pattern.blocks:
+            src, dst = pixels[block.src], pixels[block.dst]
+            assert block.start == covered and block.stop - covered == src.size
+            assert src.size <= cap or src.shape[0] == 1
+            np.testing.assert_array_equal(src.ravel(),
+                                          pattern.rows[covered:block.stop])
+            np.testing.assert_array_equal(dst.ravel(),
+                                          pattern.cols[covered:block.stop])
+            covered = block.stop
+        assert covered == half
+    offsets = {(b.dst[0].start - b.src[0].start, b.dst[1].start - b.src[1].start)
+               for b in build_sparsity(32, 32, 40).blocks}
+    assert len(offsets) == len(build_sparsity(32, 32, 40).blocks) == 1942
+    assert len(build_sparsity(64, 64, 5).blocks) == 170
 
 
 def test_offset_major_layer_memory_at_paper_radius():
