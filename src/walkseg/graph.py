@@ -12,26 +12,25 @@ are probability distributions over neighbors. Patterns are memoised on
 
 The pattern is translation-invariant, which the learned affinities use.
 A neighbor offset o = (dy, dx) joins every pixel p of one rectangular
-window of the grid to p + o, so the per-channel L1 distances of its
-edges form one block |S[window] - S[window + o]| of at most h*w rows,
-sliced from the (h, w, k) feature stack S. The mirror offset -o joins
-the same pixel pairs in the opposite direction and in the same order,
-so one block serves both. The pattern is built by one enumeration of
-the offsets > (0, 0), which lists the edges offset-major: the edges
-(p, p + o) block by block, then their mirrors in the same order, so
-slots t and t + E/2 join the same pixel pair. The same enumeration
-plans the runs of the affinity head: it cuts a window of more than
-`_RUN_EDGES` edges into bands of whole rows and groups consecutive
-blocks into runs of at most that many edges (1 MiB of distances at
-k = 131), and the pattern keeps that plan. `learned_affinity`, its
-backward pass and `walk.rw_backward_a` work through the blocks, the
-affinity head a run at a time, so the E x k distance tensor is never
-held. `channel_distances` gathers that tensor in one piece; it is the
-reference path the tests compare against, not part of the pipeline.
+window of the grid to p + o, so the per-channel minima of its edges
+form one block min(S[window], S[window + o]) of at most h*w rows,
+sliced from the (h, w, k) feature stack S, and the mirror offset -o
+joins the same pixel pairs in the same order. As |a - b| = a + b -
+2 min(a, b), the head's theta . |S_i - S_j| is u_i + u_j - 2 theta .
+min(S_i, S_j) with u = S theta, so no distance is formed. One
+enumeration of the offsets > (0, 0) lists the edges offset-major: the
+edges (p, p + o) block by block, then their mirrors in the same order,
+so slots t and t + E/2 join one pixel pair. It also plans the head's
+runs: windows of more than `_RUN_EDGES` edges are cut into bands of
+whole rows, and consecutive blocks grouped into runs of at most that
+many edges (1 MiB of minima at k = 131), which `learned_affinity`, its
+backward pass and `walk.rw_backward_a` work through. `channel_distances`
+gathers the E x k distances; with `affinity_forward`/`affinity_backward`
+it is the subtract-and-abs reference of the tests, not of the pipeline.
 
 The sparse product reads the same order: `TransitionMatrix` wraps the
 pattern's `rows`, `cols` and its own values in one scipy COO matrix,
-with no copy and no sort, and multiplies by A^T through its transpose.
+with no copy and no sort, and multiplies by A^T through its kept transpose.
 
 Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
@@ -47,7 +46,7 @@ import scipy.sparse as sp
 from .errors import InvalidInputError
 
 
-# a run of distances holds at most this many edges (1 MiB of float64 at
+# a run of minima holds at most this many edges (1 MiB of float64 at
 # 131 channels), unless a single grid row holds more (see `SparsityPattern`)
 _RUN_EDGES = 1000
 
@@ -192,45 +191,50 @@ def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray
     return np.abs(flat[pattern.rows] - flat[pattern.cols])
 
 
-def _distance_runs(grid: np.ndarray, pattern: SparsityPattern):
-    """Yield (slots, distances) per run of `pattern.runs`: the slice of
-    first-half slots the run covers and its edges' distances
-    |S[src] - S[dst]| as (edges, k) rows. Every run overwrites one
+def _minimum_runs(grid: np.ndarray, pattern: SparsityPattern):
+    """Yield (slots, minima) per run of `pattern.runs`: the slice of
+    first-half slots the run covers and its edges' per-channel minima
+    min(S[src], S[dst]) as (edges, k) rows. Every run overwrites one
     shared buffer, so a caller must be done with a run before asking
     for the next."""
     buffer = np.empty((max(_RUN_EDGES, pattern.width), grid.shape[2]))
     for run in pattern.runs:
         first = run[0].start
-        fdist = buffer[:run[-1].stop - first]
+        fmin = buffer[:run[-1].stop - first]
         for block in run:
             src = grid[block.src]
-            out = fdist[block.start - first:block.stop - first]
-            np.subtract(src, grid[block.dst], out=out.reshape(src.shape))
-        np.abs(fdist, out=fdist)
-        yield slice(first, run[-1].stop), fdist
+            out = fmin[block.start - first:block.stop - first]
+            np.minimum(src, grid[block.dst], out=out.reshape(src.shape))
+        yield slice(first, run[-1].stop), fmin
 
 
 def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
                      theta: np.ndarray) -> np.ndarray:
     """Affinities W = exp(F theta) on every edge of `pattern`.
 
-    Equal, up to the rounding of each edge's dot product, to
-    ``affinity_forward(channel_distances(stack, pattern), theta)``, but
-    computed a run of blocks at a time (see `SparsityPattern`), so the
-    distances held at once take at most `_RUN_EDGES` rows, or one grid
-    row where a row is wider than that.
-    A pixel pair's two edges get the same value, so the two halves of
-    ``w`` are equal exactly.
+    The log-affinity of the edge (i, j) is u_i + u_j - 2 theta .
+    min(S_i, S_j), u = S theta, with the minima taken a run of blocks at
+    a time (see `SparsityPattern`). Against the subtract-and-abs
+    ``affinity_forward(channel_distances(...), theta)`` it differs by
+    both sides' length-k dot-product rounding, at worst (2k + 4) eps
+    sum_c |theta_c| (|S_ic| + |S_jc|), eps the machine epsilon. A pixel
+    pair's two edges get one value: the halves of ``w`` are exactly equal.
     """
     grid = _pixel_grid(stack, pattern)
     theta = np.asarray(theta, dtype=np.float64)
     _check_head(grid.shape[2], theta)
     half = pattern.num_edges // 2
+    # one gemv per grid row: BLAS threads an n x k gemv, and in repeated
+    # passes at 64x64 that took 8 against 0.2 ms (2-core host)
+    u = (grid @ theta).ravel()
     w = np.empty(pattern.num_edges)
+    scale = -2.0 * theta  # exact
     with np.errstate(over="ignore"):  # overflow to inf is caught in transition
-        for slots, fdist in _distance_runs(grid, pattern):
-            w[slots] = w[half + slots.start:half + slots.stop] = _exp_head(
-                fdist, theta)
+        for slots, fmin in _minimum_runs(grid, pattern):
+            w[slots] = (u.take(pattern.rows[slots])
+                        + u.take(pattern.cols[slots]) + fmin @ scale)
+        np.exp(w[:half], out=w[:half])
+    w[half:] = w[:half]
     return w
 
 
@@ -238,18 +242,23 @@ def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
                               w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """dtheta for the affinities `w` that `learned_affinity` returned.
 
-    A pixel pair's two edges share their distances and their affinity,
-    so a run contributes ``affinity_backward(fdist, w_run, dw_run +
-    dw_mirrored_run)``. Runs are summed in a fixed order, so repeated
-    calls are bit-identical.
+    A pixel pair (i, j) with the weight g = w (dw + dw_mirrored) adds
+    g (S_i + S_j - 2 min(S_i, S_j)), so dtheta = S^T G - 2 sum_runs
+    fmin^T g, with G_p the sum of g over the pairs at pixel p. It rounds
+    sums of g (|S_i| + |S_j|), not of g |S_i - S_j|. Runs are summed in
+    a fixed order, so repeated calls are bit-identical.
     """
     grid = _pixel_grid(stack, pattern)
-    half = pattern.num_edges // 2
-    dtheta = np.zeros(grid.shape[2])
-    for slots, fdist in _distance_runs(grid, pattern):
-        mirrored = slice(half + slots.start, half + slots.stop)
-        dtheta += affinity_backward(fdist, w[slots], dw[slots] + dw[mirrored])
-    return dtheta
+    n, half = pattern.num_pixels, pattern.num_edges // 2
+    pulls, dmin = np.zeros(n), np.zeros(grid.shape[2])
+    for slots, fmin in _minimum_runs(grid, pattern):
+        g = w[slots] * (dw[slots] + dw[half + slots.start:half + slots.stop])
+        pulls += np.bincount(pattern.rows[slots], weights=g, minlength=n)
+        pulls += np.bincount(pattern.cols[slots], weights=g, minlength=n)
+        dmin += fmin.T @ g
+    # S^T G without an n x k gemv, as for u in `learned_affinity`
+    return (np.einsum("hwc,hw->c", grid, pulls.reshape(grid.shape[:2]))
+            - 2.0 * dmin)
 
 
 def _check_head(channels: int, theta: np.ndarray) -> None:
@@ -260,11 +269,6 @@ def _check_head(channels: int, theta: np.ndarray) -> None:
         raise InvalidInputError(
             f"distance tensor has {channels} channels, theta has shape "
             f"{theta.shape}")
-
-
-def _exp_head(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The head's arithmetic, for a theta that `_check_head` passed."""
-    return np.exp(fdist @ theta)
 
 
 def affinity_forward(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -278,7 +282,7 @@ def affinity_forward(fdist: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"bad distance tensor shape {fdist.shape}")
     _check_head(fdist.shape[1], theta)
     with np.errstate(over="ignore"):  # overflow to inf is caught in transition
-        return _exp_head(fdist, theta)
+        return np.exp(fdist @ theta)
 
 
 def affinity_backward(fdist: np.ndarray, w: np.ndarray,
@@ -338,6 +342,7 @@ class TransitionMatrix:
     degree: np.ndarray
     symmetric: bool = False
     _coo: sp.coo_matrix = field(default=None, repr=False, compare=False)
+    _coo_t: sp.coo_matrix = field(default=None, repr=False, compare=False)
 
     @property
     def num_pixels(self) -> int:
@@ -355,8 +360,10 @@ class TransitionMatrix:
         return self._matrix() @ x
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """A^T @ x, through the transpose of A's COO matrix (no copy)."""
-        return self._matrix().T @ x
+        """A^T @ x, through the kept transpose of A's COO matrix (no copy)."""
+        if self._coo_t is None:
+            self._coo_t = self._matrix().T
+        return self._coo_t @ x
 
     def dense(self) -> np.ndarray:
         return self._matrix().toarray()
@@ -375,7 +382,7 @@ def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:
     occupied = np.diff(pattern.indptr) > 0
     if np.any(degree[occupied] <= 0.0):
         raise InvalidInputError("row of affinities sums to zero")
-    values = w / degree[pattern.rows] if w.size else w.copy()
+    values = w / np.take(degree, pattern.rows)
     half = w.size // 2
     return TransitionMatrix(pattern, values, degree,
                             np.array_equal(w[:half], w[half:]))
@@ -393,7 +400,10 @@ def transition_backward(a: TransitionMatrix, da: np.ndarray) -> np.ndarray:
             f"{da.shape} gradients for {pattern.num_edges} edges")
     row_dot = np.bincount(pattern.rows, weights=da * a.values,
                           minlength=pattern.num_pixels)
-    return (da - row_dot[pattern.rows]) / a.degree[pattern.rows]
+    # np.take copies the int32 indices to intp: only the first gather, made
+    # before dW's own array exists, adds no peak memory for it
+    dw = da - np.take(row_dot, pattern.rows)
+    return np.divide(dw, a.degree[pattern.rows], out=dw)
 
 
 def dump_edges(pattern: SparsityPattern, values: np.ndarray, fh) -> None:

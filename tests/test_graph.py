@@ -253,10 +253,10 @@ def test_row_band_runs_match_gather(h, w, r, k, cap, seed):
         dw = rng.standard_normal(pattern.num_edges)
         half = pattern.num_edges // 2
         covered = 0
-        for slots, fdist in graph._distance_runs(stack, pattern):
-            assert slots.start == covered and fdist.shape[0] == slots.stop - covered
+        for slots, fmin in graph._minimum_runs(stack, pattern):
+            assert slots.start == covered and fmin.shape[0] == slots.stop - covered
             # only a single grid row may exceed the cap
-            assert fdist.shape[0] <= max(cap, w)
+            assert fmin.shape[0] <= max(cap, w)
             covered = slots.stop
         assert covered == half
         w_new = learned_affinity(stack, pattern, theta)
@@ -266,6 +266,85 @@ def test_row_band_runs_match_gather(h, w, r, k, cap, seed):
     np.testing.assert_array_equal(w_new[:half], w_new[half:])
     np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
     assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
+
+
+def _log_affinity_bound(stack, pattern, theta):
+    """Per edge (i, j): (2k + 4) eps sum_c |theta_c| (|S_ic| + |S_jc|),
+    the worst-case rounding of the length-k dot products of the min
+    identity and of the subtract-and-abs reference together, plus 4 eps
+    for the rounding of exp and log on both sides."""
+    flat = np.abs(stack.reshape(pattern.num_pixels, -1))
+    size = (flat[pattern.rows] + flat[pattern.cols]) @ np.abs(theta)
+    eps = np.finfo(float).eps
+    return (2 * theta.size + 4) * eps * size + 4 * eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 10),
+       k=st.integers(1, 5), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       shift=st.sampled_from([0.0, -3.0, 40.0]),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=7, r=2, k=1, scale=1.0, shift=0.0, seed=0)
+@example(h=1, w=6, r=9, k=3, scale=1e3, shift=-3.0, seed=1)
+@example(h=7, w=1, r=10, k=1, scale=1e-3, shift=40.0, seed=2)
+@example(h=4, w=5, r=8, k=5, scale=1e3, shift=0.0, seed=3)
+@example(h=1, w=1, r=1, k=2, scale=1.0, shift=0.0, seed=4)
+def test_min_identity_matches_subtract_abs(h, w, r, k, scale, shift, seed):
+    """The head's log-affinity from u_i + u_j - 2 theta . min(S_i, S_j)
+    stays within the worst-case dot-product rounding of theta .
+    |S_i - S_j| on every edge, for stacks with negative values and with
+    a common shift, 1 x N grids, radii past the grid and k = 1; the two
+    halves of W are equal exactly, and dtheta matches the reference."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    stack = shift + rng.uniform(-1.0, 1.0, (h, w, k))
+    theta = scale * rng.normal(0.0, 1.0, k)
+    half = pattern.num_edges // 2
+    w_new = learned_affinity(stack, pattern, theta)
+    np.testing.assert_array_equal(w_new[:half], w_new[half:])
+
+    fdist = channel_distances(stack, pattern)
+    w_ref = affinity_forward(fdist, theta)
+    # in log space where exp is normal and finite on the reference side;
+    # past that it has under- or overflowed on both sides
+    inside = (w_ref > 1e-300) & (w_ref < 1e300)
+    error = np.abs(np.log(w_new[inside]) - np.log(w_ref[inside]))
+    assert np.all(error <= _log_affinity_bound(stack, pattern, theta)[inside])
+    assert np.all(w_new[w_ref <= 1e-300] <= 1e-299)
+    assert np.all(w_new[w_ref >= 1e300] >= 1e299)
+
+    # dtheta cancels sums of g (|S_i| + |S_j|) down to sums of g |S_i - S_j|,
+    # so a common shift far above the spread costs digits in proportion
+    if abs(shift) <= 3.0:
+        # finite affinities that, like W, are equal on a pair's two edges
+        weights = np.tile(rng.uniform(0.1, 2.0, half), 2)
+        dw = rng.standard_normal(pattern.num_edges)
+        dtheta = learned_affinity_backward(stack, pattern, weights, dw)
+        assert rel_error(dtheta, affinity_backward(fdist, weights, dw)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 10),
+       k=st.integers(1, 5), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=7, r=9, k=1, scale=1e3, seed=0)
+@example(h=6, w=6, r=2, k=5, scale=1.0, seed=1)
+def test_constant_stack_gives_unit_symmetric_affinities(h, w, r, k, scale,
+                                                        seed):
+    """Where every pixel has the same features the reference gives W = 1
+    exactly; the min identity stays within its rounding bound of that,
+    and W is still exactly symmetric, so `transition` marks it so."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    stack = np.broadcast_to(rng.uniform(-1.0, 1.0, k), (h, w, k))
+    theta = scale * rng.normal(0.0, 1.0, k)
+    w_new = learned_affinity(stack, pattern, theta)
+    assert np.all(np.abs(np.log(w_new))
+                  <= _log_affinity_bound(stack, pattern, theta))
+    if k == 1:
+        # one channel: u_i + u_j and 2 theta min(S_i, S_j) round alike
+        np.testing.assert_array_equal(w_new, 1.0)
+    assert transition(pattern, w_new).symmetric
 
 
 def test_run_plan_partitions_the_blocks():
@@ -505,6 +584,26 @@ def test_products_match_independent_dense(h, w, r, mirrored, seed):
                                    rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(a.rmatvec(x), dense.T @ x,
                                    rtol=1e-12, atol=1e-14)
+
+
+def test_products_share_the_edge_arrays_and_keep_the_transpose():
+    """A and A^T wrap A's values and the pattern's index arrays without
+    copies, and repeated A^T products reuse the first one's transpose."""
+    a, _ = random_transition(5, 4, 2, seed=6)
+    x = np.random.default_rng(6).standard_normal((a.num_pixels, 3))
+    first = a.rmatvec(x)
+    coo, coo_t = a._matrix(), a._coo_t
+    for matrix, rows, cols in ((coo, a.pattern.rows, a.pattern.cols),
+                               (coo_t, a.pattern.cols, a.pattern.rows)):
+        assert np.shares_memory(matrix.data, a.values)
+        assert np.shares_memory(matrix.row, rows)
+        assert np.shares_memory(matrix.col, cols)
+    rebuilt = AssertionError("A^T product built a new matrix")
+    with mock.patch.object(type(coo), "transpose", side_effect=rebuilt), \
+            mock.patch.object(graph.sp, "coo_matrix", side_effect=rebuilt):
+        for _ in range(3):
+            np.testing.assert_array_equal(a.rmatvec(x), first)
+    assert a._coo_t is coo_t
 
 
 def test_transition_memory_at_paper_radius():
