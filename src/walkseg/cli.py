@@ -2,8 +2,10 @@
 
 Subcommands: generate, train, infer, eval, ablate, bench. Exit codes:
 0 success, 1 usage error, 2 data/format error, 3 numerical failure.
-All binary outputs (PPM/PGM rasters, probability dumps, checkpoints) are
-little-endian.
+Flag values are checked by their argparse types at parse time and exit 1
+(`eval --classes`, bounded by the maps, once they are read); config
+values and data exit 2. All binary outputs (PPM/PGM rasters, probability
+dumps, checkpoints) are little-endian.
 """
 
 import argparse
@@ -115,7 +117,7 @@ def cmd_train(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --radius and --repeats: an integer >= 1."""
+    """argparse type of --radius, --repeats, --radii entries: integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -130,23 +132,35 @@ def _alpha(text: str) -> float:
     return value
 
 
-def _parse_int(flag: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"{flag} takes integers: {exc}")
-
-
-def _parse_steps(text: str):
+def _steps(text: str):
+    """argparse type of --steps: an integer >= 0, or 'converge'."""
     if text == "converge":
         return text
-    try:
-        steps = int(text)
-    except ValueError as exc:
-        raise UsageError(f"--steps takes an integer or 'converge': {exc}")
-    if steps < 0:
-        raise UsageError("--steps must be >= 0")
-    return steps
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _size(text: str):
+    """argparse type of a --sizes entry: HxW, each side >= 1."""
+    h, w = text.strip().lower().split("x")
+    return _positive_int(h), _positive_int(w)
+
+
+def _comma_list(item):
+    """argparse type of a comma list: [(entry text, item(entry text))].
+    The text is kept so that a CSV can print each entry as typed."""
+    def parse(text):
+        entries = []
+        for token in text.split(","):
+            try:
+                entries.append((token, item(token)))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise argparse.ArgumentTypeError(
+                    f"bad entry {token!r}: {exc}") from None
+        return entries
+    return parse
 
 
 def cmd_infer(args) -> int:
@@ -156,8 +170,7 @@ def cmd_infer(args) -> int:
     alpha = args.alpha if args.alpha is not None else cfg.solver.alpha
     solver_cfg = dataclasses.replace(cfg.solver, alpha=alpha)
     radius = args.radius if args.radius is not None else cfg.infer.radius
-    steps = _parse_steps(args.steps)
-    labels, scores = predict(ckpt, image, steps=steps, radius=radius,
+    labels, scores = predict(ckpt, image, steps=args.steps, radius=radius,
                              solver_cfg=solver_cfg,
                              dump_prefix=args.dump_affinity)
     pnm.write_pgm(args.out_labels, labels)
@@ -195,29 +208,20 @@ def cmd_eval(args) -> int:
                          f"{needed}, got {num_classes}")
 
     widths = range(1, cfg.eval.trimap_max_width + 1)
-    rows = []
-    band_hits = {w: [0, 0] for w in widths}
-    pooled = {}
+    rows, curves, trimaps = [], [], []
     for (pred_path, gt_path), (pred, gt) in zip(pairs, maps):
-        strength = metrics.extract_boundary_strength(
-            metrics.onehot_probabilities(pred, num_classes), pred.shape)
         try:
             mf, ap, curve = metrics.boundary_pr(
-                strength, metrics.label_boundary_mask(gt),
+                metrics.label_boundary_mask(pred),
+                metrics.label_boundary_mask(gt),
                 tolerance=cfg.eval.boundary_tolerance,
                 thresholds=cfg.eval.thresholds)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{gt_path}: {exc}") from exc
         rows.append((pred_path.name, metrics.mean_iou(pred, gt, num_classes),
                      metrics.overall_iou(pred, gt), mf, ap))
-        for tau, precision, recall in curve:
-            agg = pooled.setdefault(tau, [0.0, 0.0, 0])
-            agg[0] += precision
-            agg[1] += recall
-            agg[2] += 1
-        for w, wrong, total in metrics.trimap_counts(pred, gt, widths):
-            band_hits[w][0] += wrong
-            band_hits[w][1] += total
+        curves.append(curve)
+        trimaps.append(metrics.trimap_counts(pred, gt, widths))
 
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write("image,mean_iou,overall_iou,mf,ap\n")
@@ -226,55 +230,44 @@ def cmd_eval(args) -> int:
     if args.trimap_csv:
         with open(args.trimap_csv, "w", encoding="utf-8") as fh:
             fh.write("width,error\n")
-            for w in widths:
-                wrong, total = band_hits[w]
+            for w, bands in zip(widths, zip(*trimaps)):
+                _, wrong, total = map(sum, zip(*bands))
                 rate = wrong / total if total else 0.0
                 fh.write(f"{w},{rate:.6f}\n")
     if args.pr_csv:
         with open(args.pr_csv, "w", encoding="utf-8") as fh:
             fh.write("threshold,precision,recall\n")
-            for tau in sorted(pooled, reverse=True):
-                psum, rsum, count = pooled[tau]
-                fh.write(f"{tau:.6f},{psum / count:.6f},{rsum / count:.6f}\n")
+            # every curve runs over the same thresholds, from the top down
+            for points in zip(*curves):
+                _, psum, rsum = map(sum, zip(*points))
+                fh.write(f"{points[0][0]:.6f},{psum / len(points):.6f},"
+                         f"{rsum / len(points):.6f}\n")
     mean_of_means = np.mean([row[1] for row in rows])
     print(f"evaluated {len(rows)} maps; mean IOU {mean_of_means:.4f} "
           f"-> {args.out_csv}")
     return 0
 
 
-def _oracle_iou(dataset_labels, cfg, steps, radius):
-    scores = []
-    for labels in dataset_labels:
-        damaged, _ = oracle_scene(labels, cfg.corrupt,
-                                  num_classes=cfg.scene.num_classes)
-        a = oracle_transition(labels, radius)
-        y = diffuse(a, damaged, steps, cfg.solver)
-        pred = argmax_labels(y, labels.shape)
-        scores.append(metrics.mean_iou(pred, labels, cfg.scene.num_classes))
-    return float(np.mean(scores))
-
-
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
     labels_list = [pnm.read_pgm(lab) for _, lab in _read_manifest(args.manifest)]
-    lines = []
     if args.sweep == "steps":
         radius = args.radius if args.radius is not None else cfg.infer.radius
-        tokens = (args.steps or "0,1,2,4,8,16,converge").split(",")
-        sweep = [(token, _parse_steps(token)) for token in tokens]
-        lines.append("steps,mean_iou")
-        for token, steps in sweep:
-            iou = _oracle_iou(labels_list, cfg, steps, radius)
-            lines.append(f"{token},{iou:.6f}")
+        sweep = [(token, steps, radius) for token, steps in args.steps]
     else:
-        radii = [_parse_int("--radii", r)
-                 for r in (args.radii or "3,5,10,20").split(",")]
-        if min(radii) < 1:
-            raise UsageError(f"--radii must be >= 1, got {min(radii)}")
-        lines.append("radius,mean_iou")
-        for radius in radii:
-            iou = _oracle_iou(labels_list, cfg, "converge", radius)
-            lines.append(f"{radius},{iou:.6f}")
+        sweep = [(radius, "converge", radius) for _, radius in args.radii]
+    num_classes = cfg.scene.num_classes
+    damaged = [oracle_scene(labels, cfg.corrupt, num_classes=num_classes)[0]
+               for labels in labels_list]
+    lines = [f"{args.sweep},mean_iou"]
+    for label, steps, radius in sweep:
+        ious = []
+        for labels, scores in zip(labels_list, damaged):
+            a = oracle_transition(labels, radius)
+            pred = argmax_labels(diffuse(a, scores, steps, cfg.solver),
+                                 labels.shape)
+            ious.append(metrics.mean_iou(pred, labels, num_classes))
+        lines.append(f"{label},{np.mean(ious):.6f}")
     text = "".join(line + "\n" for line in lines)
     if args.out_csv:
         Path(args.out_csv).write_text(text, encoding="utf-8")
@@ -282,20 +275,9 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _parse_sizes(text: str):
-    sizes = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token.count("x") != 1:
-            raise UsageError(f"size {token!r} is not HxW")
-        h, w = token.split("x")
-        sizes.append((_parse_int("--sizes", h), _parse_int("--sizes", w)))
-    return sizes
-
-
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
-    sizes = _parse_sizes(args.sizes)
+    sizes = [size for _, size in args.sizes]
     radius = args.radius if args.radius is not None else cfg.infer.radius
     report = bench_step_vs_solve(sizes, radius, cfg.solver,
                                  repeats=args.repeats)
@@ -340,7 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-probs")
-    p.add_argument("--steps", default="converge",
+    p.add_argument("--steps", type=_steps, default="converge",
                    help="walk steps, or 'converge'")
     p.add_argument("--radius", type=_positive_int)
     p.add_argument("--alpha", type=_alpha)
@@ -362,8 +344,11 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--sweep", choices=("steps", "radius"), required=True)
-    p.add_argument("--steps", help="comma list for --sweep steps")
-    p.add_argument("--radii", help="comma list for --sweep radius")
+    p.add_argument("--steps", type=_comma_list(_steps),
+                   default="0,1,2,4,8,16,converge",
+                   help="comma list for --sweep steps")
+    p.add_argument("--radii", type=_comma_list(_positive_int),
+                   default="3,5,10,20", help="comma list for --sweep radius")
     p.add_argument("--radius", type=_positive_int,
                    help="fixed radius for --sweep steps")
     p.add_argument("--out-csv")
@@ -371,7 +356,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="time sparse steps vs solves")
     common(p)
-    p.add_argument("--sizes", default="32x32,64x64")
+    p.add_argument("--sizes", type=_comma_list(_size), default="32x32,64x64")
     p.add_argument("--radius", type=_positive_int)
     p.add_argument("--repeats", type=_positive_int, default=9)
     p.add_argument("--out-csv")

@@ -240,10 +240,10 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
 
 def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
                               w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """dtheta for the affinities `w` that `learned_affinity` returned.
+    """dtheta for the edge affinities `w`, given dL/dw.
 
-    A pixel pair (i, j) with the weight g = w (dw + dw_mirrored) adds
-    g (S_i + S_j - 2 min(S_i, S_j)), so dtheta = S^T G - 2 sum_runs
+    A pixel pair (i, j) with the weight g = w dw + w_mirrored dw_mirrored
+    adds g (S_i + S_j - 2 min(S_i, S_j)), so dtheta = S^T G - 2 sum_runs
     fmin^T g, with G_p the sum of g over the pairs at pixel p. It rounds
     sums of g (|S_i| + |S_j|), not of g |S_i - S_j|. Runs are summed in
     a fixed order, so repeated calls are bit-identical.
@@ -252,7 +252,8 @@ def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
     n, half = pattern.num_pixels, pattern.num_edges // 2
     pulls, dmin = np.zeros(n), np.zeros(grid.shape[2])
     for slots, fmin in _minimum_runs(grid, pattern):
-        g = w[slots] * (dw[slots] + dw[half + slots.start:half + slots.stop])
+        mirror = slice(half + slots.start, half + slots.stop)
+        g = w[slots] * dw[slots] + w[mirror] * dw[mirror]
         pulls += np.bincount(pattern.rows[slots], weights=g, minlength=n)
         pulls += np.bincount(pattern.cols[slots], weights=g, minlength=n)
         dmin += fmin.T @ g

@@ -315,11 +315,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if len(blob) != expected:
         raise DataFormatError(
             f"checkpoint is {len(blob)} bytes, expected {expected}")
-    offset = 32
-    theta = np.frombuffer(blob, "<f8", k, offset).copy()
-    offset += 8 * k
-    weights = np.frombuffer(blob, "<f8", m * k, offset).reshape(m, k).copy()
-    offset += 8 * m * k
-    bias = np.frombuffer(blob, "<f8", m, offset).copy()
-    return ModelCheckpoint(theta, UnaryParams(weights, bias),
+    params = np.frombuffer(blob, "<f8", offset=32).astype(np.float64)
+    if not np.all(np.isfinite(params)):
+        raise DataFormatError("checkpoint holds non-finite parameters")
+    theta, weights, bias = np.split(params, [k, k + m * k])
+    return ModelCheckpoint(theta, UnaryParams(weights.reshape(m, k), bias),
                            FilterBankConfig(f1, f2, seed), m, iteration)

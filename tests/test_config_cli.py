@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import string
 import struct
@@ -20,7 +22,9 @@ from walkseg.errors import DataFormatError
 from walkseg.graph import affinity_forward, channel_distances
 from walkseg.pipeline import predict
 from walkseg.solver import SolverConfig
-from walkseg.training import CHECKPOINT_MAGIC, load_checkpoint
+from walkseg.features import FilterBankConfig
+from walkseg.training import (CHECKPOINT_MAGIC, ModelCheckpoint, UnaryParams,
+                              load_checkpoint, save_checkpoint)
 
 # ---------------------------------------------------------------------------
 # config text format
@@ -401,6 +405,63 @@ def test_zero_class_checkpoint_is_a_data_error(smoke_workspace, tmp_path,
     assert not (tmp_path / "out.pgm").exists()
 
 
+@pytest.fixture(scope="module")
+def clean_inputs(tmp_path_factory):
+    """A 6x6 image and a 5-channel, 2-class checkpoint for `infer`, and a
+    predicted and a true 6x6 label map for `eval`."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(2)
+    (root / "pred").mkdir()
+    (root / "gt").mkdir()
+    labels = np.zeros((6, 6), dtype=np.int64)
+    labels[:, 3:] = 1
+    pnm.write_ppm(root / "img.ppm", rng.uniform(0, 1, (6, 6, 3)))
+    pnm.write_pgm(root / "gt" / "m.pgm", labels)
+    pnm.write_pgm(root / "pred" / "m.pgm", np.roll(labels, 1, axis=1))
+    save_checkpoint(root / "model.ckpt", ModelCheckpoint(
+        rng.normal(0, 0.1, 5), UnaryParams(rng.normal(0, 1, (2, 5)),
+                                           rng.normal(0, 1, 2)),
+        FilterBankConfig(f1=1, f2=1, seed=3), 2))
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(["img.ppm", "model.ckpt", "pred/m.pgm",
+                               "gt/m.pgm"]),
+       at=st.integers(0, 10_000), byte=st.none() | st.integers(0, 255))
+def test_damaged_input_file_is_a_data_error(clean_inputs, target, at, byte):
+    """The prefix before `at`, or with `byte` at `at`, of a valid PPM, PGM
+    or checkpoint makes `infer` or `eval` exit 0 or 2, with at most one
+    error line."""
+    root = clean_inputs
+    path = root / target
+    clean = path.read_bytes()
+    at %= len(clean)
+    damaged = clean[:at] if byte is None else (
+        clean[:at] + bytes([byte]) + clean[at + 1:])
+    if target.endswith(".pgm"):
+        argv = ["eval", "--pred-dir", str(root / "pred"),
+                "--gt-dir", str(root / "gt"), "--out-csv", str(root / "m.csv")]
+    else:
+        argv = ["infer", "--checkpoint", str(root / "model.ckpt"),
+                "--image", str(root / "img.ppm"),
+                "--out-labels", str(root / "out.pgm")]
+    err = io.StringIO()
+    try:
+        path.write_bytes(damaged)
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        path.write_bytes(clean)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+
+
 def test_train_missing_manifest_entry(smoke_workspace, tmp_path):
     root, data, _, _, overrides = smoke_workspace
     manifest = tmp_path / "broken.txt"
@@ -646,6 +707,10 @@ def test_bench_csv_header_and_timings(tmp_path):
     ["infer", "--alpha", "nan"],
     ["infer", "--alpha", "-0.1"],
     ["eval", "--classes", "1"],
+    ["infer", "--steps", "-1"],
+    ["infer", "--steps", "x"],
+    ["bench", "--sizes", "4x"],
+    ["ablate", "--sweep", "radius", "--steps", "x"],
 ])
 def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys,
                                               tmp_path):
@@ -663,7 +728,7 @@ def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys,
                 "--out-csv", str(tmp_path / "m.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:")
+    assert err.startswith("usage error:") and err.count("\n") == 1
     if argv[0] in ("infer", "eval"):
         assert argv[1] in err  # the message names the flag
     assert "Traceback" not in err

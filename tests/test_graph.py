@@ -323,6 +323,19 @@ def test_min_identity_matches_subtract_abs(h, w, r, k, scale, shift, seed):
         assert rel_error(dtheta, affinity_backward(fdist, weights, dw)) < 1e-12
 
 
+def test_learned_backward_weights_each_edge_by_its_own_affinity():
+    """dtheta for affinities whose two halves differ matches the
+    per-edge reference: each edge of a pixel pair counts with its own w."""
+    rng = np.random.default_rng(0)
+    pattern = build_sparsity(1, 7, 2)
+    stack = rng.uniform(-1.0, 1.0, (1, 7, 3))
+    weights = rng.uniform(0.1, 2.0, pattern.num_edges)
+    dw = rng.standard_normal(pattern.num_edges)
+    dtheta = learned_affinity_backward(stack, pattern, weights, dw)
+    reference = affinity_backward(channel_distances(stack, pattern), weights, dw)
+    assert rel_error(dtheta, reference) < 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 10),
        k=st.integers(1, 5), scale=st.sampled_from([1e-3, 1.0, 1e3]),

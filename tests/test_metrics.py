@@ -157,6 +157,23 @@ def test_hard_two_region_strength_binary():
     np.testing.assert_array_equal(strength, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(1, 6), width=st.integers(1, 6),
+       classes=st.integers(1, 4), unused=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 16))
+@example(height=1, width=9, classes=3, unused=0, seed=0)
+@example(height=5, width=4, classes=1, unused=1, seed=0)
+def test_hard_map_strength_is_its_boundary_mask(height, width, classes,
+                                                unused, seed):
+    """On a hard map, the one-hot strength is the boundary mask as 0.0 and
+    1.0, for 1 x N grids, single-class maps and unused classes too."""
+    labels = np.random.default_rng(seed).integers(0, classes, (height, width))
+    strength = extract_boundary_strength(
+        onehot_probabilities(labels, classes + unused), labels.shape)
+    np.testing.assert_array_equal(
+        strength, label_boundary_mask(labels).astype(np.float64))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 500))
 def test_strength_bounded(seed):

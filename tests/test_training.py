@@ -312,6 +312,20 @@ def test_version_mismatch_is_explicit(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("part, value", [
+    ("theta", np.inf), ("weights", -np.inf), ("bias", np.nan)])
+def test_non_finite_checkpoint_rejected(tmp_path, part, value):
+    """A well-formed checkpoint with one non-finite parameter is a data
+    error at load time, before any model runs on it."""
+    ckpt = make_checkpoint()
+    target = ckpt.theta if part == "theta" else getattr(ckpt.unary, part)
+    target.flat[1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(DataFormatError, match="non-finite"):
+        load_checkpoint(path)
+
+
 def test_garbage_file_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"not a checkpoint at all, nope")
