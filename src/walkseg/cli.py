@@ -116,51 +116,56 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _int_at_least(least: int, text: str, also: str = "") -> int:
+    """An integer >= `least` read from a flag value; `also` names another
+    form the flag takes, for the message."""
+    try:
+        if int(text) >= least:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer >= {least}{also}, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
     """argparse type of --radius, --repeats, --radii entries: integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(1, text)
 
 
 def _alpha(text: str) -> float:
     """argparse type of --alpha: a finite number in [0, 1)."""
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
-    return value
+    try:
+        if 0.0 <= float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a number in [0, 1), got {text!r}")
 
 
 def _steps(text: str):
     """argparse type of --steps: an integer >= 0, or 'converge'."""
     if text == "converge":
         return text
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _int_at_least(0, text, " or 'converge'")
 
 
 def _size(text: str):
     """argparse type of a --sizes entry: HxW, each side >= 1."""
-    h, w = text.strip().lower().split("x")
-    return _positive_int(h), _positive_int(w)
+    try:
+        h, w = text.strip().lower().split("x")
+        return _positive_int(h), _positive_int(w)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expected HxW, each side >= 1, got {text!r}") from None
 
 
 def _comma_list(item):
     """argparse type of a comma list: [(entry text, item(entry text))].
-    The text is kept so that a CSV can print each entry as typed."""
-    def parse(text):
-        entries = []
-        for token in text.split(","):
-            try:
-                entries.append((token, item(token)))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise argparse.ArgumentTypeError(
-                    f"bad entry {token!r}: {exc}") from None
-        return entries
-    return parse
+    The text is kept so that a CSV can print each entry as typed; the item
+    type's message quotes a bad entry."""
+    return lambda text: [(token, item(token)) for token in text.split(",")]
 
 
 def cmd_infer(args) -> int:

@@ -31,8 +31,11 @@ benchmarks, return the second.
     the error of y is (1 - alpha) (I - alpha A)^-1 D^-1/2 r for the
     residual r of the z system, and (1 - alpha) sum_k alpha^k A^k is
     nonnegative with row sums <= 1, the residual bounds the error:
-    ||y - y*||_inf <= max_ic |r_ic| / sqrt(D_i), and CG stops when that
-    falls below `tolerance`.
+    ||y - y*||_inf <= max_ic |r_ic| / sqrt(D_i). CG stops when that
+    falls below `tolerance` on the recomputed residual b - (I - alpha S) z.
+    The updated residual drifts from it, so when only the updated one
+    passes, CG restarts from the recomputed one. It reports its products
+    with S, its iterations and restarts, and the final bound.
 
 Convergence is measured in absolute terms, not relative: score columns
 may be identically zero for absent classes.
@@ -103,16 +106,16 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
         iterations=cfg.max_iterations)
 
 
-def _symmetric_cg(a: TransitionMatrix, f: np.ndarray,
-                  cfg: SolverConfig) -> np.ndarray:
+def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig):
     """Block conjugate gradients on (I - alpha S) z = D^1/2 f, one column
-    per class with its own step and beta; returns y = (1 - alpha) D^-1/2 z.
+    per class with its own step and beta, stopped as the module docstring
+    says. Returns y = (1 - alpha) D^-1/2 z and a report dict: the
+    `products` with S, the `iterations`, the `restarts` and the final
+    error `bound`.
 
     S x = D^1/2 A (D^-1/2 x) reuses A's sparse matrix. Rows without
     neighbors take degree 1, so S is zero there and y = (1 - alpha) f, as
     in the loop.
-    Stops when the error bound max_ic |r_ic| / sqrt(D_i) on y is below
-    `tolerance`, confirmed on a recomputed residual.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
@@ -121,41 +124,38 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray,
     alpha_root = alpha * root
 
     def apply(x):
+        report["products"] += 1
         return x - alpha_root * a.matvec(inv_root * x)
 
-    def bound(r):
-        # y's error (1 - alpha) (I - alpha A)^-1 D^-1/2 r: that operator is
-        # nonnegative with row sums <= 1
-        return float(np.abs(inv_root * r).max()) if r.size else 0.0
-
+    report = dict(products=0, iterations=0, restarts=0, bound=0.0)
     b = root * f
     z = b / (1.0 - alpha)  # y = f, the loop's starting point
-    r = b - apply(z)
-    if bound(r) < cfg.tolerance:
-        return (1.0 - alpha) * inv_root * z
-    p = r
-    rr = np.einsum("ij,ij->j", r, r)
-    for _ in range(cfg.max_iterations):
+    r, recomputed = b - apply(z), True
+    while True:
+        # the bound on y's error, from the module docstring
+        report["bound"] = float(np.abs(inv_root * r).max()) if r.size else 0.0
+        if report["bound"] < cfg.tolerance:
+            if recomputed:
+                return (1.0 - alpha) * inv_root * z, report
+            r, recomputed = b - apply(z), True
+            continue
+        if report["iterations"] == cfg.max_iterations:
+            raise ConvergenceError(
+                f"conjugate gradients not converged after {cfg.max_iterations}"
+                f" iterations (error bound {report['bound']:.3e})",
+                residual=report["bound"], iterations=report["iterations"])
+        if recomputed:  # start, or restart, from the recomputed residual
+            report["restarts"] += report["iterations"] > 0
+            p, rr = r, np.einsum("ij,ij->j", r, r)
+        else:
+            rr, rr_prev = np.einsum("ij,ij->j", r, r), rr
+            p = r + (rr / np.where(rr_prev > 0.0, rr_prev, 1.0)) * p
         q = apply(p)
         pq = np.einsum("ij,ij->j", p, q)
         step = rr / np.where(pq > 0.0, pq, 1.0)
         z = z + step * p
-        r = r - step * q
-        if bound(r) < cfg.tolerance:
-            # the updated residual drifts from b - apply(z); trust the latter
-            r = b - apply(z)
-            if bound(r) < cfg.tolerance:
-                return (1.0 - alpha) * inv_root * z
-            p, rr = r, np.einsum("ij,ij->j", r, r)  # restart from it
-            continue
-        rr_next = np.einsum("ij,ij->j", r, r)
-        p = r + (rr_next / np.where(rr > 0.0, rr, 1.0)) * p
-        rr = rr_next
-    residual = bound(r)
-    raise ConvergenceError(
-        f"conjugate gradients not converged after {cfg.max_iterations} "
-        f"iterations (error bound {residual:.3e})", residual=residual,
-        iterations=cfg.max_iterations)
+        r, recomputed = r - step * q, False
+        report["iterations"] += 1
 
 
 def solve_closed_form(a: TransitionMatrix, f: np.ndarray,
@@ -201,7 +201,7 @@ def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     by the fixed-point loop otherwise."""
     cfg.validate()
     if cfg.alpha >= CG_MIN_ALPHA and a.symmetric:
-        return _symmetric_cg(a, f, cfg)
+        return _symmetric_cg(a, f, cfg)[0]
     y, _ = diffuse_to_convergence(a, f, cfg)
     return y
 

@@ -7,9 +7,9 @@ from helpers import random_image_transition, random_transition
 from walkseg.errors import ConvergenceError, InvalidInputError
 from walkseg.graph import build_sparsity, transition
 from walkseg.pipeline import CorruptionConfig, oracle_scene, oracle_transition
-from walkseg.solver import (SolverConfig, bench_step_vs_solve,
-                            dense_oracle_solve, diffuse_to_convergence,
-                            solve, solve_closed_form)
+from walkseg.solver import (CG_MIN_ALPHA, SolverConfig, _symmetric_cg,
+                            bench_step_vs_solve, dense_oracle_solve,
+                            diffuse_to_convergence, solve, solve_closed_form)
 from walkseg.synth import SceneSpec, generate
 from walkseg.walk import rw_step
 
@@ -182,12 +182,16 @@ def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale):
     below the crossover) lands within `tolerance` of the exact damped
     fixed point. A small `scale` spreads the degrees from about 1 down to
     1e-6, where the stop rule must weigh each pixel's residual by its own
-    D_i^-1/2."""
+    D_i^-1/2. The bound CG reports covers the error it made, up to the
+    rounding of the two solves where CG lands on the exact answer."""
     a = symmetric_transition(h, w, r, seed, scale)
     f = np.random.default_rng(seed).standard_normal((a.num_pixels, m))
     cfg = SolverConfig(alpha=alpha)
     exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
-    assert np.max(np.abs(solve(a, f, cfg) - exact)) < cfg.tolerance
+    error = np.max(np.abs(solve(a, f, cfg) - exact))
+    assert error < cfg.tolerance
+    if alpha >= CG_MIN_ALPHA:
+        assert error <= _symmetric_cg(a, f, cfg)[1]["bound"] + 1e-12
 
 
 def test_asymmetric_affinities_keep_the_loop():
@@ -212,21 +216,31 @@ def test_conjugate_gradient_budget_exhaustion_reports_bound():
 def test_oracle_scene_at_large_alpha_meets_tolerance():
     """The fixed-point loop's old stop rule, max|dy| < 1e-6, left this scene
     about 3e-5 away from the dense solve at alpha 0.99. Conjugate gradients
-    get there in far fewer products with A than the loop's sweeps."""
+    get there in far fewer products with A than the loop's sweeps. At
+    tolerance 1e-13 the updated residual passes the stop test before the
+    recomputed one does, so CG restarts from the recomputed residual."""
     (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
     damaged, _ = oracle_scene(labels, CorruptionConfig(seed=0), 4)
     a = oracle_transition(labels, 5)
-    cfg = SolverConfig(alpha=0.99)
-    exact = (1.0 - cfg.alpha) * dense_oracle_solve(a, damaged, cfg.alpha)
+    exact = (1.0 - 0.99) * dense_oracle_solve(a, damaged, 0.99)
     products = []
     matvec = a.matvec
     a.matvec = lambda x: products.append(1) or matvec(x)
-    y = solve(a, damaged, cfg)
+    cfg = SolverConfig(alpha=0.99, tolerance=1e-13)
+    y, report = _symmetric_cg(a, damaged, cfg)
+    assert report["products"] == len(products)
+    assert report["restarts"] >= 1 and report["bound"] < cfg.tolerance
+    assert np.max(np.abs(y - exact)) <= 1e-9
+    products.clear()
+    cfg = SolverConfig(alpha=0.99)
+    y, report = _symmetric_cg(a, damaged, cfg)
+    assert report["products"] == len(products)
+    a.matvec = matvec
+    np.testing.assert_array_equal(solve(a, damaged, cfg), y)
     assert np.max(np.abs(y - exact)) < 1e-6
-    cg_products = len(products)
     y_loop, sweeps = diffuse_to_convergence(a, damaged, cfg)
     assert np.max(np.abs(y_loop - exact)) < 1e-6
-    assert cg_products < sweeps / 4
+    assert report["products"] < sweeps / 4
 
 
 def test_accuracy_improves_monotonically_with_steps():
