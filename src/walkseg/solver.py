@@ -35,7 +35,15 @@ benchmarks, return the second.
     falls below `tolerance` on the recomputed residual b - (I - alpha S) z.
     The updated residual drifts from it, so when only the updated one
     passes, CG restarts from the recomputed one. It reports its products
-    with S, its iterations and restarts, and the final bound.
+    with S, its iterations and restarts, the final bound and its tiles.
+    From alpha DEFLATE_MIN_ALPHA on, CG is deflated (Nicolaides 1987). S
+    has about one eigenvalue >= 0.99 per segment, near D^1/2 times a
+    piecewise-constant vector, so p tile aggregates Z_ip = D_i^1/2, i in
+    tile p (tiles of t x t pixels, see the rule), hold the slow modes.
+    Each start and restart first solves on Z, z += Z E^-1 Z^T r with
+    E = Z^T (I - alpha S) Z, and residuals are preconditioned by Tang et
+    al. 2009's A-DEF2 operator. z and r stay the original system's, so
+    the stop rule and the bound hold as they are.
 
 Convergence is measured in absolute terms, not relative: score columns
 may be identically zero for absent classes.
@@ -45,6 +53,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConvergenceError, InvalidInputError
 from .graph import TransitionMatrix, build_sparsity, transition
@@ -61,6 +70,17 @@ DENSE_PIXEL_LIMIT = 4096
 # products) and 35 against 24-25 ms at 0.7 (25-27 sweeps, 14-16
 # products). The two tie at 0.5 and CG is ahead from 0.6 on.
 CG_MIN_ALPHA = 0.6
+
+# CG is deflated by tiles from this alpha on. Against plain CG it took
+# 1.21-1.25x the time at alpha 0.9, 1.02-1.18x at 0.95, 0.92-0.99x at
+# 0.97, 0.88x at 0.98 and 0.79x at 0.99 (products 68.5 -> 37): medians of
+# 5-7 interleaved runs on 10 held-out 64x64 oracle scenes (synth index
+# 100-109, seed 1), R5, tolerance 1e-6, 2-core host, two repeats.
+DEFLATE_MIN_ALPHA = 0.97
+# Tiles are t x t, t = max(4, ceil(max(h, w) / 16), ceil(R / 2)): 4 x 4 at
+# 64x64, R5 (37 products above, where 8 x 8 took 47), p <= 256 (192 at
+# 375x500, where 4 x 4 would need an 11,750^2 dense inverse), and each
+# pixel's neighbors within 5 x 5 tiles.
 
 
 @dataclass
@@ -106,16 +126,56 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
         iterations=cfg.max_iterations)
 
 
-def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig):
+def _tile_space(pattern, apply, root: np.ndarray):
+    """Z (Z_ip = root_i for pixel i in tile p), Z - KZ (K = I - alpha S,
+    as `apply` applies it) and E^-1, E = Z^T K Z. Neighbors lie within two
+    tiles per axis, where the 25 colors (ty mod 5, tx mod 5) differ, so KZ
+    is K applied once to the pixels' one-hot tile colors times root."""
+    side = max(4, -(-max(pattern.height, pattern.width) // 16),
+               -(-pattern.radius // 2))
+    down, across = -(-pattern.height // side), -(-pattern.width // side)
+    ty, tx = np.divmod(np.arange(down * across)[:, None], across)
+    cy, cx = np.divmod(np.arange(25), 5)
+    # the tile of each color nearest each tile
+    near = (ty + (cy - ty + 2) % 5 - 2) * across + tx + (cx - tx + 2) % 5 - 2
+    y, x = np.divmod(np.arange(pattern.num_pixels), pattern.width)
+    agg, shape = y // side * across + x // side, (y.size, down * across)
+    table = np.zeros((y.size, 25))
+    table[np.arange(y.size), y // side % 5 * 5 + x // side % 5] = root[:, 0]
+    table = apply(table)
+    i, c = np.nonzero(table)
+    kz = sp.csr_matrix((table[i, c], (i, near[agg[i], c])), shape=shape)
+    z = sp.csr_matrix((root[:, 0], agg, np.arange(y.size + 1)), shape=shape)
+    return z, z - kz, _inverse((z.T @ kz).toarray())
+
+
+def _inverse(e):
+    """E^-1 by halves and Schur complements, without pivoting (E is SPD).
+    On the oracle workload (12 items, 3 runs) `np.linalg.inv` of the 256 x
+    256 E added 2.3-2.9 MB to plain CG's peak RSS, 64 x 64 blocks 1.7-1.9."""
+    if len(e) <= 64:
+        return np.linalg.inv(e)
+    h = len(e) // 2
+    upper = _inverse(e[:h, :h])
+    left = e[h:, :h] @ upper
+    lower = _inverse(e[h:, h:] - left @ e[:h, h:])
+    right = upper @ e[:h, h:] @ lower
+    return np.block([[upper + right @ left, -right], [-lower @ left, lower]])
+
+
+def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
+                  coarse_space=_tile_space):
     """Block conjugate gradients on (I - alpha S) z = D^1/2 f, one column
     per class with its own step and beta, stopped as the module docstring
     says. Returns y = (1 - alpha) D^-1/2 z and a report dict: the
-    `products` with S, the `iterations`, the `restarts` and the final
-    error `bound`.
+    `products` with S, the `iterations`, the `restarts`, the final error
+    `bound` and the coarse space's `tiles` p (0 without one).
 
-    S x = D^1/2 A (D^-1/2 x) reuses A's sparse matrix. Rows without
-    neighbors take degree 1, so S is zero there and y = (1 - alpha) f, as
-    in the loop.
+    From `DEFLATE_MIN_ALPHA` on, `coarse_space(a.pattern, apply, root)`
+    gives (Z, Z - KZ, E^-1), see `_tile_space`, or None turns it off; its
+    one product counts in `products`. S x = D^1/2 A (D^-1/2 x) reuses A's
+    sparse matrix. Rows without neighbors take degree 1, so S is zero
+    there and y = (1 - alpha) f, as in the loop.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
@@ -128,6 +188,14 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig):
         return x - alpha_root * a.matvec(inv_root * x)
 
     report = dict(products=0, iterations=0, restarts=0, bound=0.0)
+    coarse = (alpha >= DEFLATE_MIN_ALPHA and coarse_space
+              and coarse_space(a.pattern, apply, root))
+    z_c, leak, e_inv = coarse or (None, None, ())
+    report["tiles"] = len(e_inv)
+
+    def precondition(x):  # A-DEF2: I - Z E^-1 (KZ)^T + Z E^-1 Z^T
+        return x + z_c @ (e_inv @ (leak.T @ x)) if coarse else x
+
     b = root * f
     z = b / (1.0 - alpha)  # y = f, the loop's starting point
     r, recomputed = b - apply(z), True
@@ -146,10 +214,15 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig):
                 residual=report["bound"], iterations=report["iterations"])
         if recomputed:  # start, or restart, from the recomputed residual
             report["restarts"] += report["iterations"] > 0
-            p, rr = r, np.einsum("ij,ij->j", r, r)
+            if coarse:  # solve on Z first, so that Z^T r = 0
+                u = e_inv @ (z_c.T @ r)
+                z, r = z + z_c @ u, r - z_c @ u + leak @ u
+            p = precondition(r)
+            rr = np.einsum("ij,ij->j", r, p)
         else:
-            rr, rr_prev = np.einsum("ij,ij->j", r, r), rr
-            p = r + (rr / np.where(rr_prev > 0.0, rr_prev, 1.0)) * p
+            s = precondition(r)
+            rr, rr_prev = np.einsum("ij,ij->j", r, s), rr
+            p = s + (rr / np.where(rr_prev > 0.0, rr_prev, 1.0)) * p
         q = apply(p)
         pq = np.einsum("ij,ij->j", p, q)
         step = rr / np.where(pq > 0.0, pq, 1.0)

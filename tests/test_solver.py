@@ -7,9 +7,10 @@ from helpers import random_image_transition, random_transition
 from walkseg.errors import ConvergenceError, InvalidInputError
 from walkseg.graph import build_sparsity, transition
 from walkseg.pipeline import CorruptionConfig, oracle_scene, oracle_transition
-from walkseg.solver import (CG_MIN_ALPHA, SolverConfig, _symmetric_cg,
-                            bench_step_vs_solve, dense_oracle_solve,
-                            diffuse_to_convergence, solve, solve_closed_form)
+from walkseg.solver import (CG_MIN_ALPHA, DEFLATE_MIN_ALPHA, SolverConfig,
+                            _symmetric_cg, _tile_space, bench_step_vs_solve,
+                            dense_oracle_solve, diffuse_to_convergence, solve,
+                            solve_closed_form)
 from walkseg.synth import SceneSpec, generate
 from walkseg.walk import rw_step
 
@@ -177,13 +178,22 @@ def symmetric_transition(height, width, radius, seed, scale=1.0):
 @example(h=2, w=2, r=3, alpha=0.6, m=2, seed=4, scale=1.0)
 @example(h=1, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6)
 @example(h=2, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6)
+@example(h=6, w=7, r=2, alpha=0.99, m=3, seed=5, scale=1.0)
+@example(h=3, w=2, r=1, alpha=0.98, m=2, seed=6, scale=1.0)
+@example(h=1, w=13, r=3, alpha=0.995, m=2, seed=7, scale=1.0)
+@example(h=5, w=6, r=9, alpha=0.99, m=3, seed=8, scale=1.0)
+@example(h=8, w=8, r=2, alpha=0.99, m=4, seed=9, scale=1e-6)
+@example(h=1, w=1, r=1, alpha=0.999, m=1, seed=10, scale=1.0)
 def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale):
     """At large alpha `solve` (conjugate gradients on symmetric W, the loop
     below the crossover) lands within `tolerance` of the exact damped
     fixed point. A small `scale` spreads the degrees from about 1 down to
     1e-6, where the stop rule must weigh each pixel's residual by its own
     D_i^-1/2. The bound CG reports covers the error it made, up to the
-    rounding of the two solves where CG lands on the exact answer."""
+    rounding of the two solves where CG lands on the exact answer. From
+    `DEFLATE_MIN_ALPHA` on, the examples give the tile coarse space
+    partial tiles, a grid inside one tile, a 1 x N grid, a radius beyond
+    the image and a pixel without neighbors."""
     a = symmetric_transition(h, w, r, seed, scale)
     f = np.random.default_rng(seed).standard_normal((a.num_pixels, m))
     cfg = SolverConfig(alpha=alpha)
@@ -241,6 +251,44 @@ def test_oracle_scene_at_large_alpha_meets_tolerance():
     y_loop, sweeps = diffuse_to_convergence(a, damaged, cfg)
     assert np.max(np.abs(y_loop - exact)) < 1e-6
     assert report["products"] < sweeps / 4
+
+
+def test_deflation_cuts_products_on_an_oracle_scene():
+    """At alpha 0.99 the tile coarse space takes the 32 x 32 oracle scene's
+    slow modes out of the solve: it needs at most 0.65 times the products
+    of the loop without it, and lands as close to the dense solve with
+    the same labels."""
+    (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
+    damaged, _ = oracle_scene(labels, CorruptionConfig(seed=0), 4)
+    a = oracle_transition(labels, 5)
+    exact = (1.0 - 0.99) * dense_oracle_solve(a, damaged, 0.99)
+    cfg = SolverConfig(alpha=0.99)
+    assert cfg.alpha >= DEFLATE_MIN_ALPHA
+    y, report = _symmetric_cg(a, damaged, cfg)
+    y_plain, plain = _symmetric_cg(a, damaged, cfg, coarse_space=None)
+    assert report["tiles"] == 64 and plain["tiles"] == 0
+    assert report["products"] <= 0.65 * plain["products"]
+    assert np.max(np.abs(y - exact)) < 1e-6
+    np.testing.assert_array_equal(np.argmax(y, 1), np.argmax(y_plain, 1))
+    np.testing.assert_array_equal(np.argmax(y, 1), np.argmax(exact, 1))
+
+
+@pytest.mark.parametrize("h, w, r, tiles", [(12, 13, 5, 12), (20, 20, 9, 16),
+                                           (3, 2, 1, 1), (1, 13, 3, 4)])
+def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
+    """Against a dense K = I - alpha S: KZ is K Z, E^-1 inverts Z^T K Z,
+    and Z has one entry, root_i, per pixel, in tiles of max(4,
+    ceil(max(h, w) / 16), ceil(R / 2)) pixels a side."""
+    a = symmetric_transition(h, w, r, seed=14)
+    root = np.sqrt(a.degree)[:, None]
+    k = np.eye(a.num_pixels) - 0.99 * root * a.dense() / root.T
+    z, leak, e_inv = _tile_space(a.pattern, lambda x: k @ x, root)
+    z = z.toarray()
+    assert e_inv.shape == (tiles, tiles)
+    np.testing.assert_array_equal(np.count_nonzero(z, 1), 1)
+    np.testing.assert_array_equal(z.sum(1), root[:, 0])
+    np.testing.assert_allclose(z - leak.toarray(), k @ z, atol=1e-12)
+    np.testing.assert_allclose(e_inv @ z.T @ k @ z, np.eye(tiles), atol=1e-9)
 
 
 def test_accuracy_improves_monotonically_with_steps():
