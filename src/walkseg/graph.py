@@ -23,10 +23,10 @@ edges (p, p + o) block by block, then their mirrors in the same order,
 so slots t and t + E/2 join one pixel pair. It also plans the head's
 runs: windows of more than `_RUN_EDGES` edges are cut into bands of
 whole rows, and consecutive blocks grouped into runs of at most that
-many edges (1 MiB of minima at k = 131), which `learned_affinity`, its
-backward pass and `walk.rw_backward_a` work through. `channel_distances`
-gathers the E x k distances; with `affinity_forward`/`affinity_backward`
-it is the subtract-and-abs reference of the tests, not of the pipeline.
+many edges (1 MiB of minima at k = 131), which `learned_affinity` and
+its backward pass work through. `channel_distances` gathers the E x k
+distances; with `affinity_forward`/`affinity_backward` it is the
+subtract-and-abs reference of the tests, not of the pipeline.
 
 The sparse product reads the same order: `TransitionMatrix` wraps the
 pattern's `rows`, `cols` and its own values in one scipy COO matrix,
@@ -35,6 +35,9 @@ with no copy and no sort, and multiplies by A^T through its kept transpose.
 Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
   row normalize   A_ij = W_ij / D_i              ->  dW_ij = (dA_ij - sum_j' dA_ij' A_ij') / D_i
+The head's backward needs only each pixel pair's weight g = W_ij dW_ij +
+W_ji dW_ji (`pair_affinity_backward`), which training forms directly;
+`transition_backward` is the per-edge reference of the tests.
 """
 
 import functools
@@ -240,23 +243,31 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
 
 def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
                               w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """dtheta for the edge affinities `w`, given dL/dw.
+    """dtheta for the edge affinities `w`, given dL/dw, from the pair
+    weights g = w dw + w_mirrored dw_mirrored."""
+    half = pattern.num_edges // 2
+    return pair_affinity_backward(
+        stack, pattern, w[:half] * dw[:half] + w[half:] * dw[half:])
 
-    A pixel pair (i, j) with the weight g = w dw + w_mirrored dw_mirrored
-    adds g (S_i + S_j - 2 min(S_i, S_j)), so dtheta = S^T G - 2 sum_runs
-    fmin^T g, with G_p the sum of g over the pairs at pixel p. It rounds
-    sums of g (|S_i| + |S_j|), not of g |S_i - S_j|. Runs are summed in
-    a fixed order, so repeated calls are bit-identical.
-    """
+
+def pair_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
+                           g: np.ndarray) -> np.ndarray:
+    """dtheta given each pixel pair's weight g, the sum of w dL/dw over
+    its two edges, indexed by the pair's first-half slot.
+
+    The pair (i, j) adds g (S_i + S_j - 2 min(S_i, S_j)), so dtheta =
+    S^T G - 2 sum_runs fmin^T g, with G_p the sum of g over the pairs at
+    pixel p. It rounds sums of g (|S_i| + |S_j|), not of g |S_i - S_j|.
+    Runs are summed in a fixed order, so repeated calls are bit-identical."""
     grid = _pixel_grid(stack, pattern)
     n, half = pattern.num_pixels, pattern.num_edges // 2
-    pulls, dmin = np.zeros(n), np.zeros(grid.shape[2])
+    if g.shape != (half,):
+        raise InvalidInputError(f"{g.shape} weights for {half} pixel pairs")
+    pulls = (np.bincount(pattern.rows[:half], weights=g, minlength=n)
+             + np.bincount(pattern.cols[:half], weights=g, minlength=n))
+    dmin = np.zeros(grid.shape[2])
     for slots, fmin in _minimum_runs(grid, pattern):
-        mirror = slice(half + slots.start, half + slots.stop)
-        g = w[slots] * dw[slots] + w[mirror] * dw[mirror]
-        pulls += np.bincount(pattern.rows[slots], weights=g, minlength=n)
-        pulls += np.bincount(pattern.cols[slots], weights=g, minlength=n)
-        dmin += fmin.T @ g
+        dmin += fmin.T @ g[slots]
     # S^T G without an n x k gemv, as for u in `learned_affinity`
     return (np.einsum("hwc,hw->c", grid, pulls.reshape(grid.shape[:2]))
             - 2.0 * dmin)
@@ -296,12 +307,10 @@ def affinity_backward(fdist: np.ndarray, w: np.ndarray,
     return fdist.T @ (dw * w)
 
 
-def ground_truth_affinity(labels: np.ndarray,
-                          pattern: SparsityPattern) -> np.ndarray:
-    """Target affinities: 1 where the edge joins same-label pixels, else 0.
-
-    Slots t and t + E/2 join the same pixel pair, so only the first half
-    is compared and the second half is its copy."""
+def same_label_pairs(labels: np.ndarray,
+                     pattern: SparsityPattern) -> np.ndarray:
+    """Whether each pixel pair joins two pixels of one label, as a bool
+    array indexed by the pair's first-half slot."""
     labels = np.asarray(labels)
     if labels.shape != (pattern.height, pattern.width):
         raise InvalidInputError(
@@ -309,10 +318,17 @@ def ground_truth_affinity(labels: np.ndarray,
             f"{pattern.height}x{pattern.width}")
     labels = labels.ravel()
     half = pattern.num_edges // 2
-    targets = np.empty(pattern.num_edges)
-    targets[:half] = labels[pattern.rows[:half]] == labels[pattern.cols[:half]]
-    targets[half:] = targets[:half]
-    return targets
+    return labels.take(pattern.rows[:half]) == labels.take(pattern.cols[:half])
+
+
+def ground_truth_affinity(labels: np.ndarray,
+                          pattern: SparsityPattern) -> np.ndarray:
+    """Target affinities: 1 where the edge joins same-label pixels, else 0.
+
+    Slots t and t + E/2 join the same pixel pair, so both halves are
+    `same_label_pairs`."""
+    same = same_label_pairs(labels, pattern)
+    return np.concatenate((same, same), dtype=np.float64)
 
 
 def affinity_loss_grad(w: np.ndarray, targets: np.ndarray):
@@ -393,18 +409,15 @@ def transition_backward(a: TransitionMatrix, da: np.ndarray) -> np.ndarray:
     """Jacobian-transpose of row normalization.
 
     dW_ij = (dA_ij - sum_j' dA_ij' A_ij') / D_i. A uniform dA within a
-    row yields zero because each row of A sums to one.
-    """
+    row yields zero because each row of A sums to one. The per-edge
+    reference of the tests: training folds it into its pair weights."""
     pattern = a.pattern
     if da.shape != (pattern.num_edges,):
         raise InvalidInputError(
             f"{da.shape} gradients for {pattern.num_edges} edges")
     row_dot = np.bincount(pattern.rows, weights=da * a.values,
                           minlength=pattern.num_pixels)
-    # np.take copies the int32 indices to intp: only the first gather, made
-    # before dW's own array exists, adds no peak memory for it
-    dw = da - np.take(row_dot, pattern.rows)
-    return np.divide(dw, a.degree[pattern.rows], out=dw)
+    return (da - row_dot[pattern.rows]) / a.degree[pattern.rows]
 
 
 def dump_edges(pattern: SparsityPattern, values: np.ndarray, fh) -> None:

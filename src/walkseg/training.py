@@ -3,11 +3,18 @@ diffusion layer.
 
 The score branch is a per-pixel linear classifier over the feature stack;
 the affinity branch is the k-parameter exponential head. Each optimizer
-step runs one damped walk step on the scores, attaches a softmax loss to
-the diffused scores and a Euclidean loss to the affinities, and
-back-propagates through both branches: the walk layer's two adjoints feed
-the classifier and (via the row-normalization transpose) the affinity
-parameters, which also receive the Euclidean loss gradient directly.
+step runs one damped walk step y = alpha A f + (1 - alpha) f on the
+scores, attaches a softmax loss to the diffused scores and a Euclidean
+loss to the affinities, and back-propagates through both branches. The
+classifier gets A^T dY. W and its targets are pair-symmetric, so the
+affinity branch runs over the E/2 pixel pairs with no edge-sized dA, dW
+or targets: with a = dY / D (degree 1 where D = 0) and q_i = alpha a_i .
+(A f)_i = sum_j dA_ij A_ij / D_i, the pair (i, j) of affinity w and
+same-label target t weighs
+
+    g = w (seg_w (alpha (a_i . f_j + a_j . f_i) - q_i - q_j) + 2 aff_w (w - t))
+
+and `graph.pair_affinity_backward` turns the weights into dtheta.
 Updates are SGD with momentum and weight decay:
 
     v <- momentum * v - lr * (g + weight_decay * p);  p <- p + v
@@ -25,10 +32,9 @@ import numpy as np
 from .errors import (DataFormatError, DivergenceError, InvalidInputError,
                      UnsupportedVersionError)
 from .features import FilterBankConfig, extract_features, per_channel_normalize
-from .graph import (affinity_loss_grad, build_sparsity, ground_truth_affinity,
-                    learned_affinity, learned_affinity_backward, transition,
-                    transition_backward)
-from .walk import rw_backward_a, rw_backward_f, rw_step
+from .graph import (build_sparsity, learned_affinity, pair_affinity_backward,
+                    same_label_pairs, transition)
+from .walk import rw_backward_f, rw_backward_pairs, rw_forward
 
 CHECKPOINT_MAGIC = b"RWNCKPT1"
 
@@ -159,25 +165,36 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     Returns (seg_loss, aff_loss, dtheta, dweights, dbias) where the
     gradients are of seg_loss_weight * L_seg + aff_loss_weight * L_aff.
     """
+    cfg.validate()
     stack = per_channel_normalize(extract_features(image, bank))
     height, width, k = stack.shape
     flat = stack.reshape(height * width, k)
     f = unary_forward(flat, unary)
 
     w = learned_affinity(stack, pattern, theta)
-    targets = ground_truth_affinity(labels, pattern)
-    aff_loss, dw_aff = affinity_loss_grad(w, targets)
-
     a = transition(pattern, w)
-    y = rw_step(a, f, f, cfg.alpha)
+    af = rw_forward(a, f)
+    # rw_step(a, f, f, alpha), keeping A f for the backward pass
+    y = cfg.alpha * af + (1.0 - cfg.alpha) * f
     seg_loss, dy = softmax_loss_grad(y, labels)
 
     # y = alpha * A f + (1 - alpha) * f: f feeds both the walk and the residual
     df = cfg.alpha * rw_backward_f(a, dy) + (1.0 - cfg.alpha) * dy
-    da = cfg.alpha * rw_backward_a(pattern, dy, f)
-    dw_total = (cfg.seg_loss_weight * transition_backward(a, da)
-                + cfg.aff_loss_weight * dw_aff)
-    dtheta = learned_affinity_backward(stack, pattern, w, dw_total)
+
+    # one weight g per pixel pair (module docstring); w's halves are equal
+    w_half = w[:pattern.num_edges // 2]
+    diff = w_half - same_label_pairs(labels, pattern)
+    aff_loss = float(diff @ diff)
+    scaled = dy / np.where(a.degree > 0.0, a.degree, 1.0)[:, None]
+    q = np.einsum("ic,ic->i", scaled, af)[:, None]
+    # [a | q / alpha] against [f | -1], times seg_w alpha: the extra
+    # column subtracts q_i + q_j from each pair
+    scale = cfg.seg_loss_weight * cfg.alpha
+    g = rw_backward_pairs(pattern, scale * np.hstack((scaled, q)),
+                          np.hstack((f, np.full_like(q, -1.0))))
+    g += 2.0 * cfg.aff_loss_weight * diff
+    g *= w_half
+    dtheta = pair_affinity_backward(stack, pattern, g)
 
     df *= cfg.seg_loss_weight
     dweights = df.T @ flat

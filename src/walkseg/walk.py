@@ -45,29 +45,38 @@ def rw_backward_f(a: TransitionMatrix, dy: np.ndarray) -> np.ndarray:
     return a.rmatvec(_check_scores(a, dy))
 
 
-def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
-                  f: np.ndarray) -> np.ndarray:
-    """Gradient into the affinity branch: dA_ij = dY_i . f_j, computed only
-    on the pattern's edges.
-
-    Runs one offset pair at a time (see `graph.SparsityPattern`): for the
-    pixel pairs (p, p + o) of one offset o, dA is the per-pixel dot of
-    the slices dY[window] and f[window + o], and the mirror offset -o
-    takes dY[window + o] . f[window].
-    """
+def _check_outer(pattern: SparsityPattern, dy: np.ndarray, f: np.ndarray):
     dy = np.asarray(dy, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if dy.shape != f.shape or dy.ndim != 2 or dy.shape[0] != pattern.num_pixels:
         raise InvalidInputError(
             f"gradient {dy.shape} / scores {f.shape} do not match "
             f"{pattern.num_pixels} pixels")
-    grid_shape = (pattern.height, pattern.width, dy.shape[1])
-    dy, f = dy.reshape(grid_shape), f.reshape(grid_shape)
-    half = pattern.num_edges // 2
-    da = np.empty(pattern.num_edges)
+    return dy, f
+
+
+def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
+                  f: np.ndarray) -> np.ndarray:
+    """Gradient into the affinity branch: dA_ij = dY_i . f_j, computed only
+    on the pattern's edges, one gathered row pair per edge. The per-edge
+    reference of the acceptance tests; training takes `rw_backward_pairs`."""
+    dy, f = _check_outer(pattern, dy, f)
+    return np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols])
+
+
+def rw_backward_pairs(pattern: SparsityPattern, x: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """x_i . y_j + x_j . y_i on each pixel pair (i, j), indexed by the
+    pair's first-half slot: for (x, y) = (dY, f) that is dA_ij + dA_ji.
+    One einsum per offset block (see `graph.SparsityPattern`) dots
+    [x | y][window] with [y | x][window + o], both directions at once."""
+    x, y = _check_outer(pattern, x, y)
+    grid_shape = (pattern.height, pattern.width, 2 * x.shape[1])
+    left = np.concatenate((x, y), axis=1).reshape(grid_shape)
+    right = np.concatenate((y, x), axis=1).reshape(grid_shape)
+    pairs = np.empty(pattern.num_edges // 2)
     for block in pattern.blocks:
-        da[block.start:block.stop] = np.einsum(
-            "...c,...c->...", dy[block.src], f[block.dst]).ravel()
-        da[half + block.start:half + block.stop] = np.einsum(
-            "...c,...c->...", dy[block.dst], f[block.src]).ravel()
-    return da
+        src = left[block.src]
+        np.einsum("...c,...c->...", src, right[block.dst],
+                  out=pairs[block.start:block.stop].reshape(src.shape[:2]))
+    return pairs

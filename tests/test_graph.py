@@ -16,10 +16,10 @@ from walkseg.graph import (_build_sparsity, affinity_backward,
                            affinity_forward, affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
                            ground_truth_affinity, learned_affinity,
-                           learned_affinity_backward, transition,
-                           transition_backward)
+                           learned_affinity_backward, pair_affinity_backward,
+                           transition, transition_backward)
 from walkseg.training import softmax_loss_grad, unary_forward, init_unary
-from walkseg.walk import rw_backward_a, rw_step
+from walkseg.walk import rw_backward_a, rw_backward_pairs, rw_step
 
 # ---------------------------------------------------------------------------
 # sparsity pattern
@@ -134,6 +134,8 @@ def test_stack_or_labels_of_another_grid_shape_rejected():
     w = np.ones(pattern.num_edges)
     with pytest.raises(InvalidInputError, match="does not match"):
         learned_affinity_backward(stack, pattern, w, w)
+    with pytest.raises(InvalidInputError, match="pixel pairs"):
+        pair_affinity_backward(np.zeros((4, 4, 2)), pattern, w)
     for labels in (np.zeros((2, 8)), np.zeros(16)):
         with pytest.raises(InvalidInputError, match="do not match"):
             ground_truth_affinity(labels, pattern)
@@ -223,9 +225,12 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
 
     dy = rng.standard_normal((h * w, m))
     f = rng.standard_normal((h * w, m))
+    da = rw_backward_a(pattern, dy, f)
     np.testing.assert_array_equal(
-        rw_backward_a(pattern, dy, f),
-        np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols]))
+        da, np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols]))
+    # the blocks' pair sums: one dot of 2m terms against two of m
+    np.testing.assert_allclose(rw_backward_pairs(pattern, dy, f),
+                               da[:half] + da[half:], rtol=1e-13, atol=1e-14)
 
     targets = ground_truth_affinity(rng.integers(0, 2, (h, w)), pattern)
     np.testing.assert_array_equal(targets[:half], targets[half:])

@@ -3,19 +3,26 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import numerical_gradient, rel_error, tiny_feature_setup
 from walkseg.config import Config, apply_preset
 from walkseg.errors import (DataFormatError, DivergenceError,
                             InvalidInputError, UnsupportedVersionError)
-from walkseg.features import FilterBankConfig
-from walkseg.graph import build_sparsity
+from walkseg.features import (FilterBankConfig, extract_features,
+                              per_channel_normalize)
+from walkseg.graph import (affinity_loss_grad, build_sparsity,
+                           ground_truth_affinity, learned_affinity,
+                           learned_affinity_backward, transition,
+                           transition_backward)
 from walkseg.synth import SceneSpec, generate
 from walkseg.training import (ModelCheckpoint, TrainConfig, UnaryParams,
                               init_state, init_theta, init_unary,
                               load_checkpoint, sample_losses_grads,
                               save_checkpoint, sgd_update, softmax_loss_grad,
                               train, train_step, unary_forward)
+from walkseg.walk import rw_backward_a, rw_backward_f, rw_step
 
 # ---------------------------------------------------------------------------
 # linear score branch
@@ -190,6 +197,88 @@ def test_paper_recipe_theta_gradient_on_seed_four_scene():
         shift[c] = step
         numeric = (loss(theta + shift) - loss(theta - shift)) / (2 * step)
         assert abs(numeric - dtheta[c]) < 1e-6 * abs(dtheta[c])
+
+
+def edge_chain_losses_grads(image, labels, theta, unary, cfg, bank, pattern):
+    """`sample_losses_grads` as a chain of per-edge layers: E-sized
+    targets, dA, dW and affinity-loss gradient, as the pair-weight
+    backward replaces them."""
+    stack = per_channel_normalize(extract_features(image, bank))
+    flat = stack.reshape(-1, stack.shape[2])
+    f = unary_forward(flat, unary)
+    w = learned_affinity(stack, pattern, theta)
+    aff_loss, dw_aff = affinity_loss_grad(
+        w, ground_truth_affinity(labels, pattern))
+    a = transition(pattern, w)
+    seg_loss, dy = softmax_loss_grad(rw_step(a, f, f, cfg.alpha), labels)
+    df = cfg.alpha * rw_backward_f(a, dy) + (1.0 - cfg.alpha) * dy
+    da = cfg.alpha * rw_backward_a(pattern, dy, f)
+    dw = (cfg.seg_loss_weight * transition_backward(a, da)
+          + cfg.aff_loss_weight * dw_aff)
+    dtheta = learned_affinity_backward(stack, pattern, w, dw)
+    df *= cfg.seg_loss_weight
+    return seg_loss, aff_loss, dtheta, df.T @ flat, df.sum(axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 8), w=st.integers(1, 8), r=st.integers(1, 12),
+       labelling=st.sampled_from(["random", "single", "distinct"]),
+       constant=st.booleans(), alpha=st.floats(0.0, 1.0),
+       weights=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+                                (0.7, 1e-4)]),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=40, labelling="random", constant=False, alpha=0.01,
+         weights=(1.0, 1.0), seed=0)
+@example(h=1, w=5, r=40, labelling="distinct", constant=False, alpha=0.5,
+         weights=(1.0, 1.0), seed=1)
+@example(h=5, w=1, r=40, labelling="random", constant=False, alpha=1.0,
+         weights=(1.0, 1.0), seed=2)
+@example(h=2, w=2, r=40, labelling="single", constant=True, alpha=0.0,
+         weights=(1.0, 1.0), seed=3)
+@example(h=3, w=3, r=40, labelling="random", constant=False, alpha=0.01,
+         weights=(1.0, 1.0), seed=4)
+def test_pair_backward_matches_edge_chain(h, w, r, labelling, constant,
+                                          alpha, weights, seed):
+    """The pixel-pair backward of `sample_losses_grads` against the
+    per-edge layer chain, on grids of 1x1 to 8x8 and radii up to past the
+    grid's diagonal: the seg loss and the classifier gradients are
+    bit-identical; dtheta and the affinity loss, summed in
+    another order, agree to 1e-12 relative above a floor of 1e-14 times
+    the pair count (a constant image has dtheta = 0)."""
+    rng = np.random.default_rng(seed)
+    bank = FilterBankConfig(f1=2, f2=2, seed=3)
+    image = (np.full((h, w, 3), 0.4) if constant
+             else rng.uniform(0.0, 1.0, (h, w, 3)))
+    labels = {"random": rng.integers(0, 3, (h, w)),
+              "single": np.zeros((h, w), dtype=int),
+              "distinct": np.arange(h * w).reshape(h, w)}[labelling]
+    cfg = TrainConfig(alpha=alpha, train_radius=r,
+                      seg_loss_weight=weights[0], aff_loss_weight=weights[1])
+    pattern = build_sparsity(h, w, r)
+    theta = rng.normal(-0.3, 0.2, bank.num_channels)
+    unary = init_unary(bank.num_channels, int(labels.max()) + 2, rng)
+    unary.bias[:] = rng.normal(0.0, 0.5, unary.bias.size)
+
+    seg, aff, dtheta, dweights, dbias = sample_losses_grads(
+        image, labels, theta, unary, cfg, bank, pattern)
+    ref = edge_chain_losses_grads(image, labels, theta, unary, cfg, bank,
+                                  pattern)
+    assert seg == ref[0]
+    np.testing.assert_array_equal(dweights, ref[3])
+    np.testing.assert_array_equal(dbias, ref[4])
+    floor = 1e-14 * (pattern.num_edges // 2 + 1)
+    assert abs(aff - ref[1]) <= 1e-12 * abs(ref[1]) + floor
+    assert (np.linalg.norm(dtheta - ref[2])
+            <= 1e-12 * np.linalg.norm(ref[2]) + floor)
+
+
+def test_sample_with_alpha_outside_unit_interval_rejected():
+    image, labels, stack, pattern, bank = tiny_feature_setup()
+    state = init_state(bank.num_channels, 3, seed=0)
+    with pytest.raises(InvalidInputError, match="alpha"):
+        sample_losses_grads(image, labels, state.theta, state.unary,
+                            TrainConfig(alpha=1.5, train_radius=2), bank,
+                            pattern)
 
 
 def test_loss_additivity():
