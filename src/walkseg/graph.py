@@ -36,8 +36,8 @@ Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
   row normalize   A_ij = W_ij / D_i              ->  dW_ij = (dA_ij - sum_j' dA_ij' A_ij') / D_i
 The head's backward needs only each pixel pair's weight g = W_ij dW_ij +
-W_ji dW_ji (`pair_affinity_backward`), which training forms directly;
-`transition_backward` is the per-edge reference of the tests.
+W_ji dW_ji (`pair_affinity_backward`); training takes dW's pair sums from
+`walk.rw_backward_pairs`. `transition_backward` is the tests' reference.
 """
 
 import functools
@@ -345,9 +345,9 @@ class TransitionMatrix:
     """Row-stochastic walk matrix A = D^-1 W over a shared pattern.
 
     `values[e]` is A at edge slot e, `degree[i]` is D_ii (the sum of row
-    i's affinities). Rows without neighbors stay empty: such a pixel
-    receives nothing from the walk and is held in place by the damped
-    step's (1 - alpha) f term. `symmetric` says that W was exactly
+    i's affinities; 1 for a pixel without neighbors, whose row stays
+    empty: it receives nothing from the walk and is held in place by the
+    damped step's (1 - alpha) f term). `symmetric` says that W was exactly
     symmetric, which the solver's conjugate gradients need and
     `values * degree[rows]` does not reproduce bit for bit; `transition`
     sets it. The first product wraps `values` and the pattern's index
@@ -395,9 +395,8 @@ def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:
     if not np.all(np.isfinite(w)):
         raise InvalidInputError("non-finite affinities")
     degree = np.bincount(pattern.rows, weights=w, minlength=pattern.num_pixels)
-    # every row that has neighbors must be normalizable
-    occupied = np.diff(pattern.indptr) > 0
-    if np.any(degree[occupied] <= 0.0):
+    degree[np.diff(pattern.indptr) == 0] = 1.0  # no edges: A does not change
+    if np.any(degree <= 0.0):  # every row must be normalizable
         raise InvalidInputError("row of affinities sums to zero")
     values = w / np.take(degree, pattern.rows)
     half = w.size // 2

@@ -174,12 +174,12 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
     From `DEFLATE_MIN_ALPHA` on, `coarse_space(a.pattern, apply, root)`
     gives (Z, Z - KZ, E^-1), see `_tile_space`, or None turns it off; its
     one product counts in `products`. S x = D^1/2 A (D^-1/2 x) reuses A's
-    sparse matrix. Rows without neighbors take degree 1, so S is zero
-    there and y = (1 - alpha) f, as in the loop.
+    sparse matrix. `transition` gives a row without neighbors degree 1,
+    so S is zero there and y = (1 - alpha) f, as in the loop.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
-    root = np.sqrt(np.where(a.degree > 0.0, a.degree, 1.0))[:, None]
+    root = np.sqrt(a.degree)[:, None]
     inv_root = 1.0 / root
     alpha_root = alpha * root
 

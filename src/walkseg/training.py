@@ -5,16 +5,13 @@ The score branch is a per-pixel linear classifier over the feature stack;
 the affinity branch is the k-parameter exponential head. Each optimizer
 step runs one damped walk step y = alpha A f + (1 - alpha) f on the
 scores, attaches a softmax loss to the diffused scores and a Euclidean
-loss to the affinities, and back-propagates through both branches. The
-classifier gets A^T dY. W and its targets are pair-symmetric, so the
-affinity branch runs over the E/2 pixel pairs with no edge-sized dA, dW
-or targets: with a = dY / D (degree 1 where D = 0) and q_i = alpha a_i .
-(A f)_i = sum_j dA_ij A_ij / D_i, the pair (i, j) of affinity w and
-same-label target t weighs
-
-    g = w (seg_w (alpha (a_i . f_j + a_j . f_i) - q_i - q_j) + 2 aff_w (w - t))
-
-and `graph.pair_affinity_backward` turns the weights into dtheta.
+loss to the affinities, and back-propagates through both branches as a
+chain of layers, each with its own backward pass. The classifier gets
+A^T dY. W and its targets are pair-symmetric, so the affinity branch runs
+over the E/2 pixel pairs with no edge-sized dA, dW or targets: the walk's
+`rw_backward_pairs` gives each pair its dW summed over both edges, the
+affinity loss adds 2 aff_w (w - t) for the same-label target t, and
+`graph.pair_affinity_backward` takes the sum, weighted by w, to dtheta.
 Updates are SGD with momentum and weight decay:
 
     v <- momentum * v - lr * (g + weight_decay * p);  p <- p + v
@@ -185,13 +182,7 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     w_half = w[:pattern.num_edges // 2]
     diff = w_half - same_label_pairs(labels, pattern)
     aff_loss = float(diff @ diff)
-    scaled = dy / np.where(a.degree > 0.0, a.degree, 1.0)[:, None]
-    q = np.einsum("ic,ic->i", scaled, af)[:, None]
-    # [a | q / alpha] against [f | -1], times seg_w alpha: the extra
-    # column subtracts q_i + q_j from each pair
-    scale = cfg.seg_loss_weight * cfg.alpha
-    g = rw_backward_pairs(pattern, scale * np.hstack((scaled, q)),
-                          np.hstack((f, np.full_like(q, -1.0))))
+    g = rw_backward_pairs(a, dy, f, af, cfg.seg_loss_weight * cfg.alpha)
     g += 2.0 * cfg.aff_loss_weight * diff
     g *= w_half
     dtheta = pair_affinity_backward(stack, pattern, g)

@@ -1,11 +1,11 @@
-"""The diffusion layer: one walk step, the damped step, and both adjoints.
+"""The diffusion layer: one walk step, the damped step, and their adjoints.
 
 Forward is a sparse matrix product y_hat = A f over (n, m) per-pixel class
 scores. The damped step mixes diffusion with the original scores:
-y_{t+1} = alpha * A y_t + (1 - alpha) * f. Backward passes are the exact
-transposes of the forward product: the gradient reaching the score branch
-is A^T dY, and the gradient reaching the affinity branch is the outer
-product dY f^T restricted to the pattern's edges.
+y_{t+1} = alpha * A y_t + (1 - alpha) * f. Backward passes are exact
+Jacobian transposes: the score branch gets A^T dY and the affinity branch
+the outer product dY f^T on the pattern's edges; training's layer carries
+that through A = D^-1 W to dW summed over each pixel pair.
 """
 
 import numpy as np
@@ -64,13 +64,23 @@ def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
     return np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols])
 
 
-def rw_backward_pairs(pattern: SparsityPattern, x: np.ndarray,
-                      y: np.ndarray) -> np.ndarray:
-    """x_i . y_j + x_j . y_i on each pixel pair (i, j), indexed by the
-    pair's first-half slot: for (x, y) = (dY, f) that is dA_ij + dA_ji.
+def rw_backward_pairs(a: TransitionMatrix, dy: np.ndarray, f: np.ndarray,
+                      af: np.ndarray, alpha: float) -> np.ndarray:
+    """dL/dW summed over each pixel pair's two edges, by the pair's
+    first-half slot, for a y whose walk term is alpha A f (af = A f):
+    with s = dY / D and q_i = s_i . (A f)_i, row normalization gives
+
+        g_ij = dW_ij + dW_ji = alpha (s_i . f_j + s_j . f_i - q_i - q_j)
+
     One einsum per offset block (see `graph.SparsityPattern`) dots
-    [x | y][window] with [y | x][window + o], both directions at once."""
-    x, y = _check_outer(pattern, x, y)
+    [x | y][window] with [y | x][window + o] for x = alpha [s | q] and
+    y = [f | -1], both directions at once; q against -1 subtracts q_i + q_j."""
+    pattern = a.pattern
+    dy, f = _check_outer(pattern, dy, f)
+    s = dy / a.degree[:, None]
+    q = np.einsum("ic,ic->i", s, af)[:, None]
+    x = alpha * np.hstack((s, q))
+    y = np.hstack((f, np.full_like(q, -1.0)))
     grid_shape = (pattern.height, pattern.width, 2 * x.shape[1])
     left = np.concatenate((x, y), axis=1).reshape(grid_shape)
     right = np.concatenate((y, x), axis=1).reshape(grid_shape)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkseg import pipeline, pnm
+from walkseg import cli, pipeline, pnm
 from walkseg.cli import main
 from walkseg.config import (Config, PRESETS, apply_overrides, apply_preset,
                             parse_config, serialize_config)
@@ -741,8 +742,17 @@ def test_malformed_list_flag_is_a_usage_error(smoke_workspace, argv, capsys,
         assert leak not in err
 
 
-def test_paper_preset_run_header(tmp_path):
-    """The reference-recipe preset must land verbatim in the loss log header."""
+def test_paper_preset_run_header(tmp_path, monkeypatch):
+    """The reference-recipe preset must land verbatim in the loss log
+    header. The header is written from the config, so the real `train`
+    runs only 2 of the preset's 2000 iterations, on the same config."""
+    real_train = cli.train
+
+    def two_iterations(dataset, cfg, *args, **kwargs):
+        return real_train(dataset, dataclasses.replace(cfg, iterations=2),
+                          *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", two_iterations)
     rng = np.random.default_rng(5)
     data = tmp_path / "tiny"
     data.mkdir()
@@ -777,6 +787,9 @@ def test_paper_preset_run_header(tmp_path):
         "# train.alpha = 0.01",
     }
     assert expected.issubset(set(header))
+    rows = losses.read_text().splitlines()[len(header):]
+    assert rows[0] == "iter,seg_loss,aff_loss"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
 
 
 def test_module_entry_point_exit_code(tmp_path):

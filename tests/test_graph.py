@@ -34,6 +34,8 @@ def test_single_pixel_has_no_neighbors():
     pattern = build_sparsity(1, 1, 5)
     assert pattern.num_edges == 0
     assert pattern.indptr.tolist() == [0, 0]
+    # no edge reads the lone pixel's degree; 1 keeps 1 / D finite
+    assert transition(pattern, np.zeros(0)).degree.tolist() == [1.0]
 
 
 def test_radius_two_on_2x2_is_complete():
@@ -228,9 +230,11 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     da = rw_backward_a(pattern, dy, f)
     np.testing.assert_array_equal(
         da, np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols]))
-    # the blocks' pair sums: one dot of 2m terms against two of m
-    np.testing.assert_allclose(rw_backward_pairs(pattern, dy, f),
-                               da[:half] + da[half:], rtol=1e-13, atol=1e-14)
+    # the walk's pair adjoint on the head's W: one dot per block and pair
+    a = transition(pattern, w_new)
+    dw = transition_backward(a, da)
+    np.testing.assert_allclose(rw_backward_pairs(a, dy, f, a.matvec(f), 1.0),
+                               dw[:half] + dw[half:], rtol=1e-12, atol=1e-13)
 
     targets = ground_truth_affinity(rng.integers(0, 2, (h, w)), pattern)
     np.testing.assert_array_equal(targets[:half], targets[half:])

@@ -12,10 +12,9 @@ from walkseg.errors import (DataFormatError, DivergenceError,
                             InvalidInputError, UnsupportedVersionError)
 from walkseg.features import (FilterBankConfig, extract_features,
                               per_channel_normalize)
-from walkseg.graph import (affinity_loss_grad, build_sparsity,
-                           ground_truth_affinity, learned_affinity,
-                           learned_affinity_backward, transition,
-                           transition_backward)
+from walkseg.graph import (affinity_backward, affinity_loss_grad,
+                           build_sparsity, channel_distances,
+                           learned_affinity, transition, transition_backward)
 from walkseg.synth import SceneSpec, generate
 from walkseg.training import (ModelCheckpoint, TrainConfig, UnaryParams,
                               init_state, init_theta, init_unary,
@@ -202,20 +201,23 @@ def test_paper_recipe_theta_gradient_on_seed_four_scene():
 def edge_chain_losses_grads(image, labels, theta, unary, cfg, bank, pattern):
     """`sample_losses_grads` as a chain of per-edge layers: E-sized
     targets, dA, dW and affinity-loss gradient, as the pair-weight
-    backward replaces them."""
+    backward replaces them. The targets are gathered here and dtheta is
+    taken from the gathered distances, so no pixel-pair function of the
+    training path is on this side."""
     stack = per_channel_normalize(extract_features(image, bank))
     flat = stack.reshape(-1, stack.shape[2])
     f = unary_forward(flat, unary)
     w = learned_affinity(stack, pattern, theta)
-    aff_loss, dw_aff = affinity_loss_grad(
-        w, ground_truth_affinity(labels, pattern))
+    flat_labels = labels.ravel()
+    targets = (flat_labels[pattern.rows] == flat_labels[pattern.cols])
+    aff_loss, dw_aff = affinity_loss_grad(w, targets.astype(np.float64))
     a = transition(pattern, w)
     seg_loss, dy = softmax_loss_grad(rw_step(a, f, f, cfg.alpha), labels)
     df = cfg.alpha * rw_backward_f(a, dy) + (1.0 - cfg.alpha) * dy
     da = cfg.alpha * rw_backward_a(pattern, dy, f)
     dw = (cfg.seg_loss_weight * transition_backward(a, da)
           + cfg.aff_loss_weight * dw_aff)
-    dtheta = learned_affinity_backward(stack, pattern, w, dw)
+    dtheta = affinity_backward(channel_distances(stack, pattern), w, dw)
     df *= cfg.seg_loss_weight
     return seg_loss, aff_loss, dtheta, df.T @ flat, df.sum(axis=0)
 

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from helpers import (damped_series_dense, numerical_gradient,
                      random_transition, rel_error)
 from walkseg.errors import InvalidInputError
-from walkseg.graph import build_sparsity, transition
+from walkseg.graph import build_sparsity, transition, transition_backward
 from walkseg.training import softmax_loss_grad
-from walkseg.walk import rw_backward_a, rw_backward_f, rw_forward, rw_step
+from walkseg.walk import (rw_backward_a, rw_backward_f, rw_backward_pairs,
+                          rw_forward, rw_step)
 
 
 def swap_transition():
@@ -133,6 +134,38 @@ def test_backward_a_matches_finite_differences():
     _, dy = softmax_loss_grad(rw_forward(free_a, f), labels)
     da = rw_backward_a(pattern, dy, f)
     assert rel_error(da, numerical_gradient(loss, a_values)) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 8), w=st.integers(1, 8), r=st.integers(1, 12),
+       m=st.integers(1, 3), mirrored=st.booleans(), alpha=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, m=1, mirrored=True, alpha=0.5, seed=0)
+@example(h=1, w=2, r=1, m=2, mirrored=True, alpha=1.0, seed=1)
+@example(h=1, w=8, r=3, m=3, mirrored=False, alpha=0.5, seed=2)
+@example(h=8, w=1, r=4, m=1, mirrored=False, alpha=0.01, seed=3)
+@example(h=5, w=6, r=12, m=2, mirrored=False, alpha=0.3, seed=4)
+@example(h=8, w=8, r=12, m=3, mirrored=True, alpha=0.0, seed=5)
+def test_pair_backward_is_the_edge_chain_summed_per_pair(h, w, r, m, mirrored,
+                                                         alpha, seed):
+    """`rw_backward_pairs` against the per-edge chain dA -> dW folded onto
+    pixel pairs, alpha (dW[:E/2] + dW[E/2:]), for W equal on both edges of
+    every pixel pair and for W whose halves differ, on grids of 1x1 to
+    8x8 and radii past the grid's diagonal. The floor is for pairs whose
+    exact sum is 0, as on a 2-pixel grid."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    half = pattern.num_edges // 2
+    weights = rng.uniform(0.2, 2.0, pattern.num_edges)
+    if mirrored:
+        weights[half:] = weights[:half]
+    a = transition(pattern, weights)
+    dy = rng.standard_normal((h * w, m))
+    f = rng.standard_normal((h * w, m))
+    dw = transition_backward(a, rw_backward_a(pattern, dy, f))
+    np.testing.assert_allclose(
+        rw_backward_pairs(a, dy, f, rw_forward(a, f), alpha),
+        alpha * (dw[:half] + dw[half:]), rtol=1e-12, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
