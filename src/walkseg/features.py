@@ -5,6 +5,7 @@ two learned low-level convolution layers are replaced by fixed banks of
 seeded random 3x3 filters with rectification: bank 1 filters the RGB
 channels, bank 2 filters bank 1's responses. The seed is part of the
 configuration, so a feature stack is a pure function of (image, config).
+`prepare_stack` is the stack that training and inference both read.
 """
 
 from dataclasses import dataclass
@@ -108,3 +109,8 @@ def per_channel_normalize(stack: np.ndarray) -> np.ndarray:
     out = stack - lo  # the one new array; the input stays as it was
     out /= span
     return out
+
+
+def prepare_stack(image, bank: FilterBankConfig) -> np.ndarray:
+    """The normalized feature stack of an image, as a model sees it."""
+    return per_channel_normalize(extract_features(image, bank))

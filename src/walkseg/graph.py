@@ -24,9 +24,7 @@ so slots t and t + E/2 join one pixel pair. It also plans the head's
 runs: windows of more than `_RUN_EDGES` edges are cut into bands of
 whole rows, and consecutive blocks grouped into runs of at most that
 many edges (1 MiB of minima at k = 131), which `learned_affinity` and
-its backward pass work through. `channel_distances` gathers the E x k
-distances; with `affinity_forward`/`affinity_backward` it is the
-subtract-and-abs reference of the tests, not of the pipeline.
+its backward pass work through.
 
 The sparse product reads the same order: `TransitionMatrix` wraps the
 pattern's `rows`, `cols` and its own values in one scipy COO matrix,
@@ -36,8 +34,14 @@ Backward passes are exact Jacobian transposes:
   affinity head   W_e = exp(sum_c theta_c F_ec)  ->  dtheta_c = sum_e dW_e W_e F_ec
   row normalize   A_ij = W_ij / D_i              ->  dW_ij = (dA_ij - sum_j' dA_ij' A_ij') / D_i
 The head's backward needs only each pixel pair's weight g = W_ij dW_ij +
-W_ji dW_ji (`pair_affinity_backward`); training takes dW's pair sums from
-`walk.rw_backward_pairs`. `transition_backward` is the tests' reference.
+W_ji dW_ji; training takes dW's pair sums from `walk.rw_backward_pairs`.
+
+Production layers: `build_sparsity`, `learned_affinity` and its backward
+`pair_affinity_backward`, `same_label_pairs`, `transition` and the products
+of `TransitionMatrix`. The tests' per-edge references gather E-sized
+arrays: `channel_distances` with `affinity_forward`/`affinity_backward`,
+`transition_backward`, and `ground_truth_affinity` (which
+`synth.oracle_affinity` also uses) with `affinity_loss_grad`.
 """
 
 import functools
@@ -241,15 +245,6 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
     return w
 
 
-def learned_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
-                              w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """dtheta for the edge affinities `w`, given dL/dw, from the pair
-    weights g = w dw + w_mirrored dw_mirrored."""
-    half = pattern.num_edges // 2
-    return pair_affinity_backward(
-        stack, pattern, w[:half] * dw[:half] + w[half:] * dw[half:])
-
-
 def pair_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
                            g: np.ndarray) -> np.ndarray:
     """dtheta given each pixel pair's weight g, the sum of w dL/dw over
@@ -358,32 +353,31 @@ class TransitionMatrix:
     values: np.ndarray
     degree: np.ndarray
     symmetric: bool = False
-    _coo: sp.coo_matrix = field(default=None, repr=False, compare=False)
-    _coo_t: sp.coo_matrix = field(default=None, repr=False, compare=False)
 
     @property
     def num_pixels(self) -> int:
         return self.pattern.num_pixels
 
-    def _matrix(self) -> sp.coo_matrix:
-        if self._coo is None:
-            pattern, n = self.pattern, self.num_pixels
-            self._coo = sp.coo_matrix(
-                (self.values, (pattern.rows, pattern.cols)), shape=(n, n))
-        return self._coo
+    @functools.cached_property
+    def _coo(self) -> sp.coo_matrix:
+        pattern, n = self.pattern, self.num_pixels
+        return sp.coo_matrix((self.values, (pattern.rows, pattern.cols)),
+                             shape=(n, n))
+
+    @functools.cached_property
+    def _coo_t(self) -> sp.coo_matrix:
+        return self._coo.T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a dense (n, m) matrix of per-pixel rows."""
-        return self._matrix() @ x
+        return self._coo @ x
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """A^T @ x, through the kept transpose of A's COO matrix (no copy)."""
-        if self._coo_t is None:
-            self._coo_t = self._matrix().T
         return self._coo_t @ x
 
     def dense(self) -> np.ndarray:
-        return self._matrix().toarray()
+        return self._coo.toarray()
 
 
 def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:

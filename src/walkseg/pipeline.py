@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import per_channel_normalize, extract_features
+from .features import prepare_stack
 from .graph import build_sparsity, dump_edges, learned_affinity, transition
 from .metrics import onehot_probabilities, trimap_band
 from .solver import SolverConfig, solve
@@ -28,10 +28,6 @@ class CorruptionConfig:
     flip_prob: float = 0.3
     blur_radius: int = 1
     seed: int = 0
-
-
-def prepare_stack(image, bank):
-    return per_channel_normalize(extract_features(image, bank))
 
 
 def model_scores(ckpt: ModelCheckpoint, image):

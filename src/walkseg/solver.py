@@ -45,8 +45,9 @@ benchmarks, return the second.
     al. 2009's A-DEF2 operator. z and r stay the original system's, so
     the stop rule and the bound hold as they are.
 
-Convergence is measured in absolute terms, not relative: score columns
-may be identically zero for absent classes.
+The series of `solve_closed_form` stops when its terms after term t, at
+most alpha / (1 - alpha) max|term_t|, fall below `tolerance`. Errors are
+absolute, not relative: score columns may be zero for absent classes.
 """
 
 import time
@@ -107,22 +108,23 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
     """Iterate y <- alpha A y + (1 - alpha) f from y = f until the error
     bound max|dy| * max(1, alpha / (1 - alpha)) falls below `tolerance`.
 
-    Returns (fixed point, iterations used). The max-abs change contracts
-    by alpha per sweep, so the result is within alpha / (1 - alpha) *
-    max|dy| < `tolerance` (max-abs) of (1 - alpha) (I - alpha A)^-1 f.
+    Returns (fixed point, iterations used); a `ConvergenceError` reports
+    the last bound. The max-abs change contracts by alpha per sweep, so
+    the result is within alpha / (1 - alpha) * max|dy| < `tolerance`
+    (max-abs) of (1 - alpha) (I - alpha A)^-1 f.
     """
     f = _check_scores(a, f)
     factor = max(1.0, cfg.alpha / (1.0 - cfg.alpha))
     y = f
     for iteration in range(1, cfg.max_iterations + 1):
         y_next = rw_step(a, f, y, cfg.alpha)
-        delta = float(np.max(np.abs(y_next - y))) if y.size else 0.0
+        bound = factor * float(np.max(np.abs(y_next - y))) if y.size else 0.0
         y = y_next
-        if delta * factor < cfg.tolerance:
+        if bound < cfg.tolerance:
             return y, iteration
     raise ConvergenceError(
         f"no fixed point after {cfg.max_iterations} sweeps "
-        f"(last change {delta:.3e})", residual=delta,
+        f"(error bound {bound:.3e})", residual=bound,
         iterations=cfg.max_iterations)
 
 
@@ -234,20 +236,20 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
 def solve_closed_form(a: TransitionMatrix, f: np.ndarray,
                       cfg: SolverConfig) -> np.ndarray:
     """Solve (I - alpha A) y = f by the truncated geometric series
-    y = sum_i (alpha A)^i f, stopping when the appended term's max-abs
-    falls below `tolerance`."""
+    y = sum_i (alpha A)^i f, stopped on its error bound (module docstring)."""
     f = _check_scores(a, f)
+    factor = cfg.alpha / (1.0 - cfg.alpha)
     y = f.copy()
     term = f
     for _ in range(1, cfg.max_iterations + 1):
         term = cfg.alpha * a.matvec(term)
         y += term
-        largest = float(np.max(np.abs(term))) if term.size else 0.0
-        if largest < cfg.tolerance:
+        bound = factor * float(np.max(np.abs(term))) if term.size else 0.0
+        if bound < cfg.tolerance:
             return y
     raise ConvergenceError(
         f"series not converged after {cfg.max_iterations} terms "
-        f"(last term {largest:.3e})", residual=largest,
+        f"(error bound {bound:.3e})", residual=bound,
         iterations=cfg.max_iterations)
 
 

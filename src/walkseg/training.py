@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DataFormatError, DivergenceError, InvalidInputError,
                      UnsupportedVersionError)
-from .features import FilterBankConfig, extract_features, per_channel_normalize
+from .features import FilterBankConfig, prepare_stack
 from .graph import (build_sparsity, learned_affinity, pair_affinity_backward,
                     same_label_pairs, transition)
 from .walk import rw_backward_f, rw_backward_pairs, rw_forward
@@ -163,7 +163,7 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     gradients are of seg_loss_weight * L_seg + aff_loss_weight * L_aff.
     """
     cfg.validate()
-    stack = per_channel_normalize(extract_features(image, bank))
+    stack = prepare_stack(image, bank)
     height, width, k = stack.shape
     flat = stack.reshape(height * width, k)
     f = unary_forward(flat, unary)

@@ -14,6 +14,13 @@ def rel_error(approx, exact):
     return np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), 1e-12)
 
 
+def pair_weights(w, dw):
+    """The head backward's weight per pixel pair: w dw summed over the
+    pair's two edges, indexed by its first-half slot."""
+    half = w.size // 2
+    return w[:half] * dw[:half] + w[half:] * dw[half:]
+
+
 def numerical_gradient(scalar_fn, array, step=1e-5):
     """Central finite differences of scalar_fn() w.r.t. `array` in place."""
     grad = np.zeros_like(array, dtype=float)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkseg import cli, pipeline, pnm
+from walkseg import cli, features, pipeline, pnm
 from walkseg.cli import main
 from walkseg.config import (Config, PRESETS, apply_overrides, apply_preset,
                             parse_config, serialize_config)
@@ -541,9 +541,11 @@ def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
     """One feature stack and one W per request, an affinity dump included."""
     root, data, ckpt, _, overrides = smoke_workspace
     calls = []
-    for name in ("extract_features", "learned_affinity"):
-        original = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name,
+    # each where `prepare_stack` and `predict` look it up
+    for module, name in ((features, "extract_features"),
+                         (pipeline, "learned_affinity")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, _name=name, _original=original:
                             calls.append(_name) or _original(*args))
     argv = ["infer", *overrides, "--checkpoint", str(ckpt),

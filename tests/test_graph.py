@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (numerical_gradient, random_stack, random_transition,
-                     rel_error, tiny_feature_setup)
+from helpers import (numerical_gradient, pair_weights, random_stack,
+                     random_transition, rel_error, tiny_feature_setup)
 from walkseg import graph
 from walkseg.errors import InvalidInputError
 from walkseg.features import per_channel_normalize
@@ -16,8 +16,8 @@ from walkseg.graph import (_build_sparsity, affinity_backward,
                            affinity_forward, affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
                            ground_truth_affinity, learned_affinity,
-                           learned_affinity_backward, pair_affinity_backward,
-                           transition, transition_backward)
+                           pair_affinity_backward, transition,
+                           transition_backward)
 from walkseg.training import softmax_loss_grad, unary_forward, init_unary
 from walkseg.walk import rw_backward_a, rw_backward_pairs, rw_step
 
@@ -135,7 +135,7 @@ def test_stack_or_labels_of_another_grid_shape_rejected():
         learned_affinity(stack, pattern, np.ones(2))
     w = np.ones(pattern.num_edges)
     with pytest.raises(InvalidInputError, match="does not match"):
-        learned_affinity_backward(stack, pattern, w, w)
+        pair_affinity_backward(stack, pattern, pair_weights(w, w))
     with pytest.raises(InvalidInputError, match="pixel pairs"):
         pair_affinity_backward(np.zeros((4, 4, 2)), pattern, w)
     for labels in (np.zeros((2, 8)), np.zeros(16)):
@@ -222,7 +222,7 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
 
     dw = rng.standard_normal(pattern.num_edges)
-    dtheta = learned_affinity_backward(stack, pattern, w_new, dw)
+    dtheta = pair_affinity_backward(stack, pattern, pair_weights(w_new, dw))
     assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
 
     dy = rng.standard_normal((h * w, m))
@@ -269,7 +269,8 @@ def test_row_band_runs_match_gather(h, w, r, k, cap, seed):
             covered = slots.stop
         assert covered == half
         w_new = learned_affinity(stack, pattern, theta)
-        dtheta = learned_affinity_backward(stack, pattern, w_new, dw)
+        dtheta = pair_affinity_backward(stack, pattern,
+                                        pair_weights(w_new, dw))
     fdist = channel_distances(stack, pattern)
     w_ref = affinity_forward(fdist, theta)
     np.testing.assert_array_equal(w_new[:half], w_new[half:])
@@ -328,7 +329,8 @@ def test_min_identity_matches_subtract_abs(h, w, r, k, scale, shift, seed):
         # finite affinities that, like W, are equal on a pair's two edges
         weights = np.tile(rng.uniform(0.1, 2.0, half), 2)
         dw = rng.standard_normal(pattern.num_edges)
-        dtheta = learned_affinity_backward(stack, pattern, weights, dw)
+        dtheta = pair_affinity_backward(stack, pattern,
+                                        pair_weights(weights, dw))
         assert rel_error(dtheta, affinity_backward(fdist, weights, dw)) < 1e-12
 
 
@@ -340,7 +342,7 @@ def test_learned_backward_weights_each_edge_by_its_own_affinity():
     stack = rng.uniform(-1.0, 1.0, (1, 7, 3))
     weights = rng.uniform(0.1, 2.0, pattern.num_edges)
     dw = rng.standard_normal(pattern.num_edges)
-    dtheta = learned_affinity_backward(stack, pattern, weights, dw)
+    dtheta = pair_affinity_backward(stack, pattern, pair_weights(weights, dw))
     reference = affinity_backward(channel_distances(stack, pattern), weights, dw)
     assert rel_error(dtheta, reference) < 1e-12
 
@@ -418,7 +420,7 @@ def test_offset_major_layer_memory_at_paper_radius():
     tracemalloc.start()
     try:
         w = learned_affinity(stack, pattern, theta)
-        learned_affinity_backward(stack, pattern, w, np.ones_like(w))
+        pair_affinity_backward(stack, pattern, pair_weights(w, np.ones_like(w)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -614,7 +616,7 @@ def test_products_share_the_edge_arrays_and_keep_the_transpose():
     a, _ = random_transition(5, 4, 2, seed=6)
     x = np.random.default_rng(6).standard_normal((a.num_pixels, 3))
     first = a.rmatvec(x)
-    coo, coo_t = a._matrix(), a._coo_t
+    coo, coo_t = a._coo, a._coo_t
     for matrix, rows, cols in ((coo, a.pattern.rows, a.pattern.cols),
                                (coo_t, a.pattern.cols, a.pattern.rows)):
         assert np.shares_memory(matrix.data, a.values)

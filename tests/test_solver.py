@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_image_transition, random_transition
@@ -126,13 +126,22 @@ def test_series_terms_decay_geometrically():
 
 
 def test_budget_exhaustion_reports_residual():
+    """The loop and the series report the error bound they stop on:
+    alpha / (1 - alpha) times the last change or the last term."""
     a, _ = random_transition(3, 3, 1, seed=8)
     f = np.random.default_rng(5).standard_normal((9, 2))
-    with pytest.raises(ConvergenceError) as err:
-        diffuse_to_convergence(a, f, SolverConfig(alpha=0.9, tolerance=1e-14,
-                                                  max_iterations=3))
-    assert err.value.residual > 0
-    assert err.value.iterations == 3
+    cfg = SolverConfig(alpha=0.9, tolerance=1e-14, max_iterations=3)
+    y, term = f, f
+    for _ in range(3):
+        y, last = rw_step(a, f, y, cfg.alpha), y
+        term = cfg.alpha * a.matvec(term)
+    factor = cfg.alpha / (1.0 - cfg.alpha)
+    for route, bound in ((diffuse_to_convergence, np.abs(y - last).max()),
+                         (solve_closed_form, np.abs(term).max())):
+        with pytest.raises(ConvergenceError, match="error bound") as err:
+            route(a, f, cfg)
+        assert err.value.residual == factor * bound > 0
+        assert err.value.iterations == 3
 
 
 def test_solve_matches_scaled_reference_routes():
@@ -152,9 +161,10 @@ def test_solve_matches_scaled_reference_routes():
         solve(a, f, bad)
 
 
-def symmetric_transition(height, width, radius, seed, scale=1.0):
+def symmetric_transition(height, width, radius, seed, scale=1.0,
+                         symmetric=True):
     """Transition over random affinities equal on both edges of every
-    pixel pair.
+    pixel pair (unequal ones, without `symmetric`).
     About half the pixels, drawn at random, have their edges' affinities
     scaled by sqrt(`scale`) (by `scale` between two such pixels)."""
     rng = np.random.default_rng(seed)
@@ -163,28 +173,33 @@ def symmetric_transition(height, width, radius, seed, scale=1.0):
     s = np.where(rng.random(pattern.num_pixels) < 0.5, scale, 1.0)
     w = w * np.sqrt(s[pattern.rows] * s[pattern.cols])
     half = pattern.num_edges // 2
-    w[:half] = w[half:] = np.maximum(w[:half], w[half:])
+    if symmetric:
+        w[:half] = w[half:] = np.maximum(w[:half], w[half:])
     return transition(pattern, w)
 
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 8), w=st.integers(1, 8), r=st.integers(1, 3),
        alpha=st.floats(0.5, 0.999), m=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1.0, 1e-6]))
-@example(h=1, w=1, r=1, alpha=0.99, m=2, seed=0, scale=1.0)
-@example(h=1, w=8, r=2, alpha=0.999, m=3, seed=1, scale=1.0)
-@example(h=7, w=1, r=1, alpha=0.9, m=1, seed=2, scale=1.0)
-@example(h=3, w=4, r=3, alpha=0.95, m=4, seed=3, scale=1.0)
-@example(h=2, w=2, r=3, alpha=0.6, m=2, seed=4, scale=1.0)
-@example(h=1, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6)
-@example(h=2, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6)
-@example(h=6, w=7, r=2, alpha=0.99, m=3, seed=5, scale=1.0)
-@example(h=3, w=2, r=1, alpha=0.98, m=2, seed=6, scale=1.0)
-@example(h=1, w=13, r=3, alpha=0.995, m=2, seed=7, scale=1.0)
-@example(h=5, w=6, r=9, alpha=0.99, m=3, seed=8, scale=1.0)
-@example(h=8, w=8, r=2, alpha=0.99, m=4, seed=9, scale=1e-6)
-@example(h=1, w=1, r=1, alpha=0.999, m=1, seed=10, scale=1.0)
-def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale):
+       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1.0, 1e-6]),
+       symmetric=st.booleans())
+@example(h=1, w=1, r=1, alpha=0.99, m=2, seed=0, scale=1.0, symmetric=True)
+@example(h=1, w=8, r=2, alpha=0.999, m=3, seed=1, scale=1.0, symmetric=True)
+@example(h=7, w=1, r=1, alpha=0.9, m=1, seed=2, scale=1.0, symmetric=True)
+@example(h=3, w=4, r=3, alpha=0.95, m=4, seed=3, scale=1.0, symmetric=True)
+@example(h=2, w=2, r=3, alpha=0.6, m=2, seed=4, scale=1.0, symmetric=True)
+@example(h=1, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6, symmetric=True)
+@example(h=2, w=8, r=1, alpha=0.6, m=3, seed=0, scale=1e-6, symmetric=True)
+@example(h=6, w=7, r=2, alpha=0.99, m=3, seed=5, scale=1.0, symmetric=True)
+@example(h=3, w=2, r=1, alpha=0.98, m=2, seed=6, scale=1.0, symmetric=True)
+@example(h=1, w=13, r=3, alpha=0.995, m=2, seed=7, scale=1.0, symmetric=True)
+@example(h=5, w=6, r=9, alpha=0.99, m=3, seed=8, scale=1.0, symmetric=True)
+@example(h=8, w=8, r=2, alpha=0.99, m=4, seed=9, scale=1e-6, symmetric=True)
+@example(h=1, w=1, r=1, alpha=0.999, m=1, seed=10, scale=1.0, symmetric=True)
+@example(h=5, w=6, r=2, alpha=0.9, m=3, seed=11, scale=1.0, symmetric=False)
+@example(h=8, w=8, r=2, alpha=0.99, m=2, seed=12, scale=1.0, symmetric=False)
+def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale,
+                                             symmetric):
     """At large alpha `solve` (conjugate gradients on symmetric W, the loop
     below the crossover) lands within `tolerance` of the exact damped
     fixed point. A small `scale` spreads the degrees from about 1 down to
@@ -193,15 +208,25 @@ def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale):
     rounding of the two solves where CG lands on the exact answer. From
     `DEFLATE_MIN_ALPHA` on, the examples give the tile coarse space
     partial tiles, a grid inside one tile, a 1 x N grid, a radius beyond
-    the image and a pixel without neighbors."""
-    a = symmetric_transition(h, w, r, seed, scale)
+    the image and a pixel without neighbors. Where W's two halves differ,
+    `solve` runs the loop. Up to alpha 0.99 the loop and the series, which
+    stop on their own error bounds, land within `tolerance` too: the
+    series of the resolvent (I - alpha A)^-1 f, before the (1 - alpha)."""
+    assume(symmetric or alpha <= 0.99)  # the loop's budget of 10000 sweeps
+    a = symmetric_transition(h, w, r, seed, scale, symmetric)
     f = np.random.default_rng(seed).standard_normal((a.num_pixels, m))
     cfg = SolverConfig(alpha=alpha)
-    exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
+    resolvent = dense_oracle_solve(a, f, alpha)
+    exact = (1.0 - alpha) * resolvent
     error = np.max(np.abs(solve(a, f, cfg) - exact))
     assert error < cfg.tolerance
-    if alpha >= CG_MIN_ALPHA:
+    if alpha >= CG_MIN_ALPHA and symmetric:
         assert error <= _symmetric_cg(a, f, cfg)[1]["bound"] + 1e-12
+    if alpha <= 0.99:  # both take about log(tolerance) / log(alpha) products
+        y, _ = diffuse_to_convergence(a, f, cfg)
+        assert np.max(np.abs(y - exact)) < cfg.tolerance
+        series = solve_closed_form(a, f, cfg)
+        assert np.max(np.abs(series - resolvent)) < cfg.tolerance
 
 
 def test_asymmetric_affinities_keep_the_loop():
