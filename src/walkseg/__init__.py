@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 from .errors import (ConvergenceError, DataFormatError, DivergenceError,
                      InvalidInputError, UnsupportedVersionError)
 from .features import FilterBankConfig, extract_features, per_channel_normalize
-from .graph import (SparsityPattern, TransitionMatrix, affinity_backward,
-                    affinity_forward, affinity_loss_grad, build_sparsity,
-                    channel_distances, ground_truth_affinity, learned_affinity,
-                    transition, transition_backward)
+from .graph import (SparsityPattern, TransitionMatrix, affinity_forward,
+                    affinity_loss_grad, build_sparsity, channel_distances,
+                    ground_truth_affinity, learned_affinity, transition)
 from .solver import (SolverConfig, bench_step_vs_solve, dense_oracle_solve,
                      diffuse_to_convergence, solve, solve_closed_form)
 from .synth import SceneSpec, corrupt_unaries, generate, oracle_affinity

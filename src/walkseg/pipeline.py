@@ -70,7 +70,8 @@ def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
         w = learned_affinity(stack, pattern, ckpt.theta)
         a = transition(pattern, w)
         if dump_prefix:
-            for suffix, values in ((".W.txt", w), (".A.txt", a.values)):
+            for suffix, values in ((".W.txt", np.concatenate((w, w))),
+                                   (".A.txt", a.values)):
                 with open(dump_prefix + suffix, "w", encoding="utf-8") as fh:
                     dump_edges(pattern, values, fh)
         if steps != 0:

@@ -22,9 +22,10 @@ benchmarks, return the second.
     alpha) ||dy||; it stops when that bound (or ||dy|| itself, for
     alpha <= 1/2) falls below `tolerance`.
   * block conjugate gradients, when alpha >= CG_MIN_ALPHA and W is
-    exactly symmetric (learned and oracle affinities are), which
-    `graph.transition` records as `TransitionMatrix.symmetric`. A = D^-1 W
-    then makes (I - alpha A) y = f the SPD system (D - alpha W) y = D f;
+    symmetric, which it is by construction where `graph.transition`
+    stores it as one value per pixel pair (learned and oracle affinities
+    are). A = D^-1 W then makes (I - alpha A) y = f the SPD system
+    (D - alpha W) y = D f;
     with S = D^-1/2 W D^-1/2 it is (I - alpha S) z = D^1/2 f and
     y = (1 - alpha) D^-1/2 z. The loop needs about log(tol) / log(alpha)
     sweeps, CG about sqrt(1 / (1 - alpha)) iterations. Because
@@ -175,19 +176,19 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
 
     From `DEFLATE_MIN_ALPHA` on, `coarse_space(a.pattern, apply, root)`
     gives (Z, Z - KZ, E^-1), see `_tile_space`, or None turns it off; its
-    one product counts in `products`. S x = D^1/2 A (D^-1/2 x) reuses A's
-    sparse matrix. `transition` gives a row without neighbors degree 1,
+    one product counts in `products`. S x = D^-1/2 W D^-1/2 x applies W
+    directly, `a.wmatvec`. `transition` gives a row without neighbors degree 1,
     so S is zero there and y = (1 - alpha) f, as in the loop.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
     root = np.sqrt(a.degree)[:, None]
     inv_root = 1.0 / root
-    alpha_root = alpha * root
+    alpha_inv_root = alpha * inv_root
 
     def apply(x):
         report["products"] += 1
-        return x - alpha_root * a.matvec(inv_root * x)
+        return x - alpha_inv_root * a.wmatvec(inv_root * x)
 
     report = dict(products=0, iterations=0, restarts=0, bound=0.0)
     coarse = (alpha >= DEFLATE_MIN_ALPHA and coarse_space

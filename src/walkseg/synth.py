@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import InvalidInputError
-from .graph import SparsityPattern, ground_truth_affinity
+from .graph import SparsityPattern, same_label_pairs
 
 SHAPE_TYPES = ("ellipse", "rectangle", "polygon")
 
@@ -188,7 +188,7 @@ def corrupt_unaries(f_clean: np.ndarray, band: np.ndarray, flip_prob: float,
 
 def oracle_affinity(labels: np.ndarray, pattern: SparsityPattern,
                     eps: float = 1e-6) -> np.ndarray:
-    """Affinities straight from ground truth: 1 for same-label edges,
-    `eps` for label-crossing edges. `eps` stays strictly positive so every
-    row of the transition matrix remains normalizable."""
-    return np.maximum(ground_truth_affinity(labels, pattern), eps)
+    """Affinities straight from ground truth, one per pixel pair: 1 for
+    same-label pairs, `eps` for label-crossing ones. `eps` stays strictly
+    positive so every row of the transition matrix remains normalizable."""
+    return np.maximum(same_label_pairs(labels, pattern), eps)

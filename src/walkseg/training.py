@@ -7,8 +7,8 @@ step runs one damped walk step y = alpha A f + (1 - alpha) f on the
 scores, attaches a softmax loss to the diffused scores and a Euclidean
 loss to the affinities, and back-propagates through both branches as a
 chain of layers, each with its own backward pass. The classifier gets
-A^T dY. W and its targets are pair-symmetric, so the affinity branch runs
-over the E/2 pixel pairs with no edge-sized dA, dW or targets: the walk's
+A^T dY. W and its targets are one value per pixel pair, so the affinity
+branch runs over the E/2 pairs with no edge-sized dA, dW or targets: the walk's
 `rw_backward_pairs` gives each pair its dW summed over both edges, the
 affinity loss adds 2 aff_w (w - t) for the same-label target t, and
 `graph.pair_affinity_backward` takes the sum, weighted by w, to dtheta.
@@ -178,13 +178,12 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     # y = alpha * A f + (1 - alpha) * f: f feeds both the walk and the residual
     df = cfg.alpha * rw_backward_f(a, dy) + (1.0 - cfg.alpha) * dy
 
-    # one weight g per pixel pair (module docstring); w's halves are equal
-    w_half = w[:pattern.num_edges // 2]
-    diff = w_half - same_label_pairs(labels, pattern)
+    # one weight g per pixel pair (module docstring)
+    diff = w - same_label_pairs(labels, pattern)
     aff_loss = float(diff @ diff)
     g = rw_backward_pairs(a, dy, f, af, cfg.seg_loss_weight * cfg.alpha)
     g += 2.0 * cfg.aff_loss_weight * diff
-    g *= w_half
+    g *= w
     dtheta = pair_affinity_backward(stack, pattern, g)
 
     df *= cfg.seg_loss_weight

@@ -67,7 +67,7 @@ def rw_backward_a(pattern: SparsityPattern, dy: np.ndarray,
 def rw_backward_pairs(a: TransitionMatrix, dy: np.ndarray, f: np.ndarray,
                       af: np.ndarray, alpha: float) -> np.ndarray:
     """dL/dW summed over each pixel pair's two edges, by the pair's
-    first-half slot, for a y whose walk term is alpha A f (af = A f):
+    slot, for a y whose walk term is alpha A f (af = A f):
     with s = dY / D and q_i = s_i . (A f)_i, row normalization gives
 
         g_ij = dW_ij + dW_ji = alpha (s_i . f_j + s_j . f_i - q_i - q_j)
@@ -84,7 +84,7 @@ def rw_backward_pairs(a: TransitionMatrix, dy: np.ndarray, f: np.ndarray,
     grid_shape = (pattern.height, pattern.width, 2 * x.shape[1])
     left = np.concatenate((x, y), axis=1).reshape(grid_shape)
     right = np.concatenate((y, x), axis=1).reshape(grid_shape)
-    pairs = np.empty(pattern.num_edges // 2)
+    pairs = np.empty(pattern.num_pairs)
     for block in pattern.blocks:
         src = left[block.src]
         np.einsum("...c,...c->...", src, right[block.dst],

@@ -14,6 +14,23 @@ def rel_error(approx, exact):
     return np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), 1e-12)
 
 
+def affinity_backward(fdist, w, dw):
+    """The head's per-edge backward: dtheta_c = sum_e dw[e] w[e]
+    fdist[e, c], summed in the fixed edge order."""
+    return fdist.T @ (dw * w)
+
+
+def transition_backward(a, da):
+    """Jacobian-transpose of row normalization, per edge slot:
+    dW_ij = (dA_ij - sum_j' dA_ij' A_ij') / D_i. A uniform dA within a
+    row yields zero because each row of A sums to one."""
+    pattern = a.pattern
+    assert da.shape == (pattern.num_edges,)
+    row_dot = np.bincount(pattern.rows, weights=da * a.values,
+                          minlength=pattern.num_pixels)
+    return (da - row_dot[pattern.rows]) / a.degree[pattern.rows]
+
+
 def pair_weights(w, dw):
     """The head backward's weight per pixel pair: w dw summed over the
     pair's two edges, indexed by its first-half slot."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkseg import cli, features, pipeline, pnm
@@ -430,6 +430,8 @@ def clean_inputs(tmp_path_factory):
 @given(target=st.sampled_from(["img.ppm", "model.ckpt", "pred/m.pgm",
                                "gt/m.pgm"]),
        at=st.integers(0, 10_000), byte=st.none() | st.integers(0, 255))
+# a huge classifier weight: W f overflows where A f does not
+@example(target="model.ckpt", at=255, byte=127)
 def test_damaged_input_file_is_a_data_error(clean_inputs, target, at, byte):
     """The prefix before `at`, or with `byte` at `at`, of a valid PPM, PGM
     or checkpoint makes `infer` or `eval` exit 0 or 2, with at most one

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (numerical_gradient, pair_weights, random_stack,
-                     random_transition, rel_error, tiny_feature_setup)
+from helpers import (affinity_backward, numerical_gradient, pair_weights,
+                     random_stack, random_transition, rel_error,
+                     tiny_feature_setup, transition_backward)
 from walkseg import graph
 from walkseg.errors import InvalidInputError
 from walkseg.features import per_channel_normalize
-from walkseg.graph import (_build_sparsity, affinity_backward,
-                           affinity_forward, affinity_loss_grad, build_sparsity,
+from walkseg.graph import (_build_sparsity, affinity_forward,
+                           affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
                            ground_truth_affinity, learned_affinity,
-                           pair_affinity_backward, transition,
-                           transition_backward)
+                           pair_affinity_backward, transition)
 from walkseg.training import softmax_loss_grad, unary_forward, init_unary
 from walkseg.walk import rw_backward_a, rw_backward_pairs, rw_step
 
@@ -84,9 +84,11 @@ def test_pattern_is_memoised_and_read_only():
     assert build_sparsity(5, 7, 2) is pattern
     assert build_sparsity(np.int64(5), np.int64(7), 2) is pattern
     assert build_sparsity(5, 7, 3) is not pattern
+    # the directed edges' views too, once read
+    assert pattern.rows is pattern.rows and pattern.cols is pattern.cols
     arrays = [value for value in vars(pattern).values()
               if isinstance(value, np.ndarray)]
-    assert len(arrays) == 3
+    assert len(arrays) == 5
     for array in arrays:
         assert array.dtype == np.int32
         assert not array.flags.writeable
@@ -210,6 +212,8 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     pixels = np.arange(h * w).reshape(h, w)
     src = [pixels[b.src].ravel() for b in pattern.blocks] or [np.empty(0, int)]
     dst = [pixels[b.dst].ravel() for b in pattern.blocks] or [np.empty(0, int)]
+    np.testing.assert_array_equal(np.concatenate(src), pattern.rows_h)
+    np.testing.assert_array_equal(np.concatenate(dst), pattern.cols_h)
     np.testing.assert_array_equal(np.concatenate(src + dst), pattern.rows)
     np.testing.assert_array_equal(np.concatenate(dst + src), pattern.cols)
 
@@ -217,12 +221,13 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     fdist = channel_distances(stack, pattern)
     np.testing.assert_array_equal(fdist[:half], fdist[half:])
     w_ref = affinity_forward(fdist, theta)
+    np.testing.assert_array_equal(w_ref[:half], w_ref[half:])
     w_new = learned_affinity(stack, pattern, theta)
-    np.testing.assert_array_equal(w_new[:half], w_new[half:])
-    np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(w_new, w_ref[:half], rtol=1e-13, atol=0.0)
 
     dw = rng.standard_normal(pattern.num_edges)
-    dtheta = pair_affinity_backward(stack, pattern, pair_weights(w_new, dw))
+    dtheta = pair_affinity_backward(stack, pattern,
+                                    pair_weights(np.tile(w_new, 2), dw))
     assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
 
     dy = rng.standard_normal((h * w, m))
@@ -270,21 +275,21 @@ def test_row_band_runs_match_gather(h, w, r, k, cap, seed):
         assert covered == half
         w_new = learned_affinity(stack, pattern, theta)
         dtheta = pair_affinity_backward(stack, pattern,
-                                        pair_weights(w_new, dw))
+                                        pair_weights(np.tile(w_new, 2), dw))
     fdist = channel_distances(stack, pattern)
     w_ref = affinity_forward(fdist, theta)
-    np.testing.assert_array_equal(w_new[:half], w_new[half:])
-    np.testing.assert_allclose(w_new, w_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(w_ref[:half], w_ref[half:])
+    np.testing.assert_allclose(w_new, w_ref[:half], rtol=1e-13, atol=0.0)
     assert rel_error(dtheta, affinity_backward(fdist, w_ref, dw)) < 1e-12
 
 
 def _log_affinity_bound(stack, pattern, theta):
-    """Per edge (i, j): (2k + 4) eps sum_c |theta_c| (|S_ic| + |S_jc|),
-    the worst-case rounding of the length-k dot products of the min
-    identity and of the subtract-and-abs reference together, plus 4 eps
-    for the rounding of exp and log on both sides."""
+    """Per pixel pair (i, j): (2k + 4) eps sum_c |theta_c| (|S_ic| +
+    |S_jc|), the worst-case rounding of the length-k dot products of the
+    min identity and of the subtract-and-abs reference together, plus
+    4 eps for the rounding of exp and log on both sides."""
     flat = np.abs(stack.reshape(pattern.num_pixels, -1))
-    size = (flat[pattern.rows] + flat[pattern.cols]) @ np.abs(theta)
+    size = (flat[pattern.rows_h] + flat[pattern.cols_h]) @ np.abs(theta)
     eps = np.finfo(float).eps
     return (2 * theta.size + 4) * eps * size + 4 * eps
 
@@ -304,17 +309,18 @@ def test_min_identity_matches_subtract_abs(h, w, r, k, scale, shift, seed):
     stays within the worst-case dot-product rounding of theta .
     |S_i - S_j| on every edge, for stacks with negative values and with
     a common shift, 1 x N grids, radii past the grid and k = 1; the two
-    halves of W are equal exactly, and dtheta matches the reference."""
+    halves of the reference are equal exactly, and dtheta matches it."""
     rng = np.random.default_rng(seed)
     pattern = build_sparsity(h, w, r)
     stack = shift + rng.uniform(-1.0, 1.0, (h, w, k))
     theta = scale * rng.normal(0.0, 1.0, k)
     half = pattern.num_edges // 2
     w_new = learned_affinity(stack, pattern, theta)
-    np.testing.assert_array_equal(w_new[:half], w_new[half:])
 
     fdist = channel_distances(stack, pattern)
     w_ref = affinity_forward(fdist, theta)
+    np.testing.assert_array_equal(w_ref[:half], w_ref[half:])
+    w_ref = w_ref[:half]
     # in log space where exp is normal and finite on the reference side;
     # past that it has under- or overflowed on both sides
     inside = (w_ref > 1e-300) & (w_ref < 1e300)
@@ -357,7 +363,7 @@ def test_constant_stack_gives_unit_symmetric_affinities(h, w, r, k, scale,
                                                         seed):
     """Where every pixel has the same features the reference gives W = 1
     exactly; the min identity stays within its rounding bound of that,
-    and W is still exactly symmetric, so `transition` marks it so."""
+    and W given per directed edge takes the pair form."""
     rng = np.random.default_rng(seed)
     pattern = build_sparsity(h, w, r)
     stack = np.broadcast_to(rng.uniform(-1.0, 1.0, k), (h, w, k))
@@ -368,7 +374,7 @@ def test_constant_stack_gives_unit_symmetric_affinities(h, w, r, k, scale,
     if k == 1:
         # one channel: u_i + u_j and 2 theta min(S_i, S_j) round alike
         np.testing.assert_array_equal(w_new, 1.0)
-    assert transition(pattern, w_new).symmetric
+    assert transition(pattern, np.tile(w_new, 2)).symmetric
 
 
 def test_run_plan_partitions_the_blocks():
@@ -420,7 +426,7 @@ def test_offset_major_layer_memory_at_paper_radius():
     tracemalloc.start()
     try:
         w = learned_affinity(stack, pattern, theta)
-        pair_affinity_backward(stack, pattern, pair_weights(w, np.ones_like(w)))
+        pair_affinity_backward(stack, pattern, 2.0 * w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,6 +616,35 @@ def test_products_match_independent_dense(h, w, r, mirrored, seed):
                                    rtol=1e-12, atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 4),
+       mirrored=st.booleans(), log_w=st.floats(-300.0, 300.0),
+       log_x=st.floats(-300.0, 308.0), m=st.integers(1, 3),
+       seed=st.integers(0, 500))
+@example(h=4, w=4, r=2, mirrored=True, log_w=0.0, log_x=308.0, m=2, seed=0)
+@example(h=3, w=5, r=3, mirrored=True, log_w=300.0, log_x=308.0, m=1,
+         seed=1)
+@example(h=1, w=6, r=2, mirrored=False, log_w=-300.0, log_x=308.0, m=3,
+         seed=2)
+def test_walk_step_stays_within_the_scores(h, w, r, mirrored, log_w, log_x,
+                                           m, seed):
+    """A x is a convex combination of x's rows, so for finite x up to
+    max|x| = 1e308 it is finite and within max|x| (to rounding), in the
+    pair form, where W x alone can overflow, and in the per-edge form."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    weights = rng.uniform(0.2, 2.0, pattern.num_edges) * 10.0 ** log_w
+    half = pattern.num_edges // 2
+    if mirrored:
+        weights[half:] = weights[:half]
+    a = transition(pattern, weights)
+    assert a.symmetric == (mirrored or pattern.num_edges == 0)
+    x = rng.uniform(-1.0, 1.0, (pattern.num_pixels, m)) * 10.0 ** log_x
+    y = a.matvec(x)
+    assert np.all(np.isfinite(y))
+    assert np.abs(y).max() <= np.abs(x).max() * (1.0 + 1e-12)
+
+
 def test_products_share_the_edge_arrays_and_keep_the_transpose():
     """A and A^T wrap A's values and the pattern's index arrays without
     copies, and repeated A^T products reuse the first one's transpose."""
@@ -631,12 +666,28 @@ def test_products_share_the_edge_arrays_and_keep_the_transpose():
 
 
 def test_transition_memory_at_paper_radius():
-    """At 32x32, R40, A's product reads the edge arrays where they are:
-    after `transition` and the first product only A's values are held,
-    and the peak is the normalization's one temporary on top."""
+    """At 32x32, R40, A's products read the pattern's arrays where they
+    are. On pair affinities `transition` and the products hold
+    only per-pixel arrays, and the peak is one pair-sized index copy (the
+    degree's `bincount`), below any edge-sized float array. On per-edge
+    affinities only A's values are held after the first product, and the
+    peak is the normalization's one temporary on top."""
     pattern = build_sparsity(32, 32, 40)
-    w = np.random.default_rng(0).uniform(0.5, 1.5, pattern.num_edges)
+    rng = np.random.default_rng(0)
+    pairs = rng.uniform(0.5, 1.5, pattern.num_pairs)
+    w = rng.uniform(0.5, 1.5, pattern.num_edges)
     x = np.ones((pattern.num_pixels, 4))
+    tracemalloc.start()
+    try:
+        a = transition(pattern, pairs)
+        a.matvec(x), a.rmatvec(x), a.wmatvec(x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.symmetric
+    assert held < 0.05 * pairs.nbytes
+    assert peak < 1.1 * pairs.nbytes
+    pattern.rows, pattern.cols  # per-edge A reads them, built once per pattern
     tracemalloc.start()
     try:
         a = transition(pattern, w)
@@ -644,6 +695,7 @@ def test_transition_memory_at_paper_radius():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert not a.symmetric
     assert held < 1.5 * w.nbytes
     assert peak < 2.5 * w.nbytes
 

@@ -251,7 +251,7 @@ def test_conjugate_gradient_budget_exhaustion_reports_bound():
 def test_oracle_scene_at_large_alpha_meets_tolerance():
     """The fixed-point loop's old stop rule, max|dy| < 1e-6, left this scene
     about 3e-5 away from the dense solve at alpha 0.99. Conjugate gradients
-    get there in far fewer products with A than the loop's sweeps. At
+    get there in far fewer products with W than the loop's sweeps. At
     tolerance 1e-13 the updated residual passes the stop test before the
     recomputed one does, so CG restarts from the recomputed residual."""
     (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
@@ -259,8 +259,8 @@ def test_oracle_scene_at_large_alpha_meets_tolerance():
     a = oracle_transition(labels, 5)
     exact = (1.0 - 0.99) * dense_oracle_solve(a, damaged, 0.99)
     products = []
-    matvec = a.matvec
-    a.matvec = lambda x: products.append(1) or matvec(x)
+    wmatvec = a.wmatvec
+    a.wmatvec = lambda x: products.append(1) or wmatvec(x)
     cfg = SolverConfig(alpha=0.99, tolerance=1e-13)
     y, report = _symmetric_cg(a, damaged, cfg)
     assert report["products"] == len(products)
@@ -270,7 +270,7 @@ def test_oracle_scene_at_large_alpha_meets_tolerance():
     cfg = SolverConfig(alpha=0.99)
     y, report = _symmetric_cg(a, damaged, cfg)
     assert report["products"] == len(products)
-    a.matvec = matvec
+    a.wmatvec = wmatvec
     np.testing.assert_array_equal(solve(a, damaged, cfg), y)
     assert np.max(np.abs(y - exact)) < 1e-6
     y_loop, sweeps = diffuse_to_convergence(a, damaged, cfg)

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import numerical_gradient, rel_error, tiny_feature_setup
+from helpers import (affinity_backward, numerical_gradient, rel_error,
+                     tiny_feature_setup, transition_backward)
+from walkseg import graph
 from walkseg.config import Config, apply_preset
 from walkseg.errors import (DataFormatError, DivergenceError,
                             InvalidInputError, UnsupportedVersionError)
 from walkseg.features import (FilterBankConfig, extract_features,
                               per_channel_normalize)
-from walkseg.graph import (affinity_backward, affinity_loss_grad,
-                           build_sparsity, channel_distances,
-                           learned_affinity, transition, transition_backward)
+from walkseg.graph import (affinity_loss_grad, build_sparsity,
+                           channel_distances, learned_affinity, transition)
+from walkseg.pipeline import predict
+from walkseg.solver import SolverConfig
 from walkseg.synth import SceneSpec, generate
 from walkseg.training import (ModelCheckpoint, TrainConfig, UnaryParams,
                               init_state, init_theta, init_unary,
@@ -207,9 +210,11 @@ def edge_chain_losses_grads(image, labels, theta, unary, cfg, bank, pattern):
     stack = per_channel_normalize(extract_features(image, bank))
     flat = stack.reshape(-1, stack.shape[2])
     f = unary_forward(flat, unary)
-    w = learned_affinity(stack, pattern, theta)
+    w = np.tile(learned_affinity(stack, pattern, theta), 2)
     flat_labels = labels.ravel()
     targets = (flat_labels[pattern.rows] == flat_labels[pattern.cols])
+    half = pattern.num_edges // 2
+    np.testing.assert_array_equal(targets[:half], targets[half:])
     aff_loss, dw_aff = affinity_loss_grad(w, targets.astype(np.float64))
     a = transition(pattern, w)
     seg_loss, dy = softmax_loss_grad(rw_step(a, f, f, cfg.alpha), labels)
@@ -272,6 +277,28 @@ def test_pair_backward_matches_edge_chain(h, w, r, labelling, constant,
     assert abs(aff - ref[1]) <= 1e-12 * abs(ref[1]) + floor
     assert (np.linalg.norm(dtheta - ref[2])
             <= 1e-12 * np.linalg.norm(ref[2]) + floor)
+
+
+def test_sample_and_predict_build_no_edge_arrays(monkeypatch):
+    """One training sample and one prediction, at the loop's alpha and
+    at conjugate gradients', run on the pixel pairs alone: they never
+    read the pattern's directed edges or A per edge slot."""
+    def per_edge(self):
+        raise AssertionError("a per-edge array was read")
+
+    for cls, name in ((graph.SparsityPattern, "rows"),
+                      (graph.SparsityPattern, "cols"),
+                      (graph.TransitionMatrix, "values")):
+        monkeypatch.setattr(cls, name, property(per_edge))
+    image, labels, _, pattern, bank = tiny_feature_setup(8, 8, radius=3)
+    state = init_state(bank.num_channels, 3, seed=0)
+    sample_losses_grads(image, labels, state.theta, state.unary,
+                        TrainConfig(train_radius=3), bank, pattern)
+    ckpt = ModelCheckpoint(state.theta, state.unary, bank, 3)
+    for alpha in (0.01, 0.99):
+        predict(ckpt, image, radius=3, solver_cfg=SolverConfig(alpha=alpha))
+    with pytest.raises(AssertionError, match="per-edge"):
+        pattern.rows
 
 
 def test_sample_with_alpha_outside_unit_interval_rejected():

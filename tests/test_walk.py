@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (damped_series_dense, numerical_gradient,
-                     random_transition, rel_error)
+                     random_transition, rel_error, transition_backward)
 from walkseg.errors import InvalidInputError
-from walkseg.graph import build_sparsity, transition, transition_backward
+from walkseg.graph import build_sparsity, transition
 from walkseg.training import softmax_loss_grad
 from walkseg.walk import (rw_backward_a, rw_backward_f, rw_backward_pairs,
                           rw_forward, rw_step)
