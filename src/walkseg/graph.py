@@ -368,10 +368,10 @@ class TransitionMatrix:
         degree = self.degree if x.ndim == 1 else self.degree[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             y = self.wmatvec(x) / degree
-        if np.isfinite(y).all() or not np.isfinite(x).all():
-            return y
-        scale = np.ldexp(1.0, -np.frexp(np.abs(x).max())[1])  # exact, < 1
-        return self.wmatvec(x * scale) / degree / scale
+            if np.isfinite(y).all() or not np.isfinite(x).all():
+                return y
+            scale = np.ldexp(1.0, -np.frexp(np.abs(x).max())[1])  # exact, < 1
+            return self.wmatvec(x * scale) / degree / scale
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """A^T @ x, through the kept transpose (no copy)."""

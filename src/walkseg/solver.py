@@ -41,10 +41,11 @@ benchmarks, return the second.
     has about one eigenvalue >= 0.99 per segment, near D^1/2 times a
     piecewise-constant vector, so p tile aggregates Z_ip = D_i^1/2, i in
     tile p (tiles of t x t pixels, see the rule), hold the slow modes.
-    Each start and restart first solves on Z, z += Z E^-1 Z^T r with
-    E = Z^T (I - alpha S) Z, and residuals are preconditioned by Tang et
-    al. 2009's A-DEF2 operator. z and r stay the original system's, so
-    the stop rule and the bound hold as they are.
+    Each start and restart first solves on Z, z += Z u with E u = Z^T r,
+    E = Z^T (I - alpha S) Z, banded and factored once by Cholesky, and
+    residuals are preconditioned by Tang et al. 2009's A-DEF2 operator.
+    z and r stay the original system's, so the stop rule and the bound
+    hold as they are.
 
 The series of `solve_closed_form` stops when its terms after term t, at
 most alpha / (1 - alpha) max|term_t|, fall below `tolerance`. Errors are
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ConvergenceError, InvalidInputError
 from .graph import TransitionMatrix, build_sparsity, transition
@@ -79,10 +81,10 @@ CG_MIN_ALPHA = 0.6
 # 5-7 interleaved runs on 10 held-out 64x64 oracle scenes (synth index
 # 100-109, seed 1), R5, tolerance 1e-6, 2-core host, two repeats.
 DEFLATE_MIN_ALPHA = 0.97
-# Tiles are t x t, t = max(4, ceil(max(h, w) / 16), ceil(R / 2)): 4 x 4 at
-# 64x64, R5 (37 products above, where 8 x 8 took 47), p <= 256 (192 at
-# 375x500, where 4 x 4 would need an 11,750^2 dense inverse), and each
-# pixel's neighbors within 5 x 5 tiles.
+# Tiles are t x t, t = max(4, ceil(max(h, w) / 16), ceil(R / 2)), so that
+# p <= 256 and each pixel's neighbors lie within 5 x 5 tiles. The rule
+# was measured at 64x64 only: there 4 x 4 tiles took the 37 products
+# above and 8 x 8 took 47. At 375x500 it gives 192 tiles of 32 x 32.
 
 
 @dataclass
@@ -131,9 +133,11 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
 
 def _tile_space(pattern, apply, root: np.ndarray):
     """Z (Z_ip = root_i for pixel i in tile p), Z - KZ (K = I - alpha S,
-    as `apply` applies it) and E^-1, E = Z^T K Z. Neighbors lie within two
-    tiles per axis, where the 25 colors (ty mod 5, tx mod 5) differ, so KZ
-    is K applied once to the pixels' one-hot tile colors times root."""
+    as `apply` applies it) and x -> E^-1 x, E = Z^T K Z. Neighbors lie
+    within two tiles per axis, where the 25 colors (ty mod 5, tx mod 5)
+    differ, so KZ is K applied once to the pixels' one-hot tile colors
+    times root, and E, in row-major tile order, is zero beyond its
+    2 across + 2 bands: one banded Cholesky factor solves it."""
     side = max(4, -(-max(pattern.height, pattern.width) // 16),
                -(-pattern.radius // 2))
     down, across = -(-pattern.height // side), -(-pattern.width // side)
@@ -149,21 +153,11 @@ def _tile_space(pattern, apply, root: np.ndarray):
     i, c = np.nonzero(table)
     kz = sp.csr_matrix((table[i, c], (i, near[agg[i], c])), shape=shape)
     z = sp.csr_matrix((root[:, 0], agg, np.arange(y.size + 1)), shape=shape)
-    return z, z - kz, _inverse((z.T @ kz).toarray())
-
-
-def _inverse(e):
-    """E^-1 by halves and Schur complements, without pivoting (E is SPD).
-    On the oracle workload (12 items, 3 runs) `np.linalg.inv` of the 256 x
-    256 E added 2.3-2.9 MB to plain CG's peak RSS, 64 x 64 blocks 1.7-1.9."""
-    if len(e) <= 64:
-        return np.linalg.inv(e)
-    h = len(e) // 2
-    upper = _inverse(e[:h, :h])
-    left = e[h:, :h] @ upper
-    lower = _inverse(e[h:, h:] - left @ e[:h, h:])
-    right = upper @ e[:h, h:] @ lower
-    return np.block([[upper + right @ left, -right], [-lower @ left, lower]])
+    e, bands = z.T @ kz, min(2 * across + 2, down * across - 1)
+    # E's upper band, its k-th diagonal in row bands - k
+    factor = cholesky_banded([np.pad(e.diagonal(k), (k, 0))
+                              for k in range(bands, -1, -1)])
+    return z, z - kz, lambda r: cho_solve_banded((factor, False), r)
 
 
 def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
@@ -175,10 +169,11 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
     `bound` and the coarse space's `tiles` p (0 without one).
 
     From `DEFLATE_MIN_ALPHA` on, `coarse_space(a.pattern, apply, root)`
-    gives (Z, Z - KZ, E^-1), see `_tile_space`, or None turns it off; its
-    one product counts in `products`. S x = D^-1/2 W D^-1/2 x applies W
-    directly, `a.wmatvec`. `transition` gives a row without neighbors degree 1,
-    so S is zero there and y = (1 - alpha) f, as in the loop.
+    gives (Z, Z - KZ, x -> E^-1 x), see `_tile_space`, or None turns it
+    off; its one product counts in `products`. S x = D^-1/2 W D^-1/2 x
+    applies W directly, `a.wmatvec`. `transition` gives a row without
+    neighbors degree 1, so S is zero there and y = (1 - alpha) f, as in
+    the loop.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
@@ -193,11 +188,11 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
     report = dict(products=0, iterations=0, restarts=0, bound=0.0)
     coarse = (alpha >= DEFLATE_MIN_ALPHA and coarse_space
               and coarse_space(a.pattern, apply, root))
-    z_c, leak, e_inv = coarse or (None, None, ())
-    report["tiles"] = len(e_inv)
+    z_c, leak, coarse_solve = coarse or (None, None, None)
+    report["tiles"] = z_c.shape[1] if coarse else 0
 
     def precondition(x):  # A-DEF2: I - Z E^-1 (KZ)^T + Z E^-1 Z^T
-        return x + z_c @ (e_inv @ (leak.T @ x)) if coarse else x
+        return x + z_c @ coarse_solve(leak.T @ x) if coarse else x
 
     b = root * f
     z = b / (1.0 - alpha)  # y = f, the loop's starting point
@@ -218,7 +213,7 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
         if recomputed:  # start, or restart, from the recomputed residual
             report["restarts"] += report["iterations"] > 0
             if coarse:  # solve on Z first, so that Z^T r = 0
-                u = e_inv @ (z_c.T @ r)
+                u = coarse_solve(z_c.T @ r)
                 z, r = z + z_c @ u, r - z_c @ u + leak @ u
             p = precondition(r)
             rr = np.einsum("ij,ij->j", r, p)

@@ -25,7 +25,7 @@ from walkseg.pipeline import predict
 from walkseg.solver import SolverConfig
 from walkseg.features import FilterBankConfig
 from walkseg.training import (CHECKPOINT_MAGIC, ModelCheckpoint, UnaryParams,
-                              load_checkpoint, save_checkpoint)
+                              load_checkpoint, save_checkpoint, softmax)
 
 # ---------------------------------------------------------------------------
 # config text format
@@ -504,6 +504,41 @@ def test_infer_converge_matches_solver(smoke_workspace, tmp_path):
     expected, _ = predict(load_checkpoint(ckpt), image, steps="converge",
                           radius=5, solver_cfg=SolverConfig())
     np.testing.assert_array_equal(pnm.read_pgm(out), expected)
+
+
+def test_infer_alpha_from_flag_and_config_file(smoke_workspace, tmp_path):
+    """`--alpha 0.9` writes the labels and probabilities `predict` gives
+    at alpha 0.9; a `--config` file holding solver.alpha = 0.9 writes the
+    same bytes, and `--alpha 0.5` overrides the file. The labels of this
+    scene do not move with alpha, its probabilities do."""
+    root, data, ckpt, _, _ = smoke_workspace
+    image_path = data / "test" / "img001.ppm"
+    config = tmp_path / "walk.cfg"
+    config.write_text("solver.alpha = 0.9\n", encoding="utf-8")
+
+    def infer(name, *flags):
+        out = tmp_path / name
+        assert main(["infer", *flags, "--checkpoint", str(ckpt),
+                     "--image", str(image_path), "--out-labels", str(out),
+                     "--out-probs", str(out) + ".probs", "--radius", "5"]) == 0
+        return out.read_bytes(), Path(str(out) + ".probs").read_bytes()
+
+    model, image = load_checkpoint(ckpt), pnm.read_ppm(image_path)
+
+    def expected(alpha):
+        labels, scores = predict(model, image, steps="converge", radius=5,
+                                 solver_cfg=SolverConfig(alpha=alpha))
+        return labels, softmax(scores).astype("<f8").tobytes()
+
+    flag = infer("flag.pgm", "--alpha", "0.9")
+    labels, probs = expected(0.9)
+    np.testing.assert_array_equal(pnm.read_pgm(tmp_path / "flag.pgm"), labels)
+    assert flag[1] == probs
+    assert infer("file.pgm", "--config", str(config)) == flag
+    both = infer("both.pgm", "--config", str(config), "--alpha", "0.5")
+    labels, probs = expected(0.5)
+    np.testing.assert_array_equal(pnm.read_pgm(tmp_path / "both.pgm"), labels)
+    assert both[1] == probs != flag[1]
 
 
 def test_infer_affinity_dump(smoke_workspace, tmp_path):

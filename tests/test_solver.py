@@ -299,21 +299,29 @@ def test_deflation_cuts_products_on_an_oracle_scene():
 
 
 @pytest.mark.parametrize("h, w, r, tiles", [(12, 13, 5, 12), (20, 20, 9, 16),
-                                           (3, 2, 1, 1), (1, 13, 3, 4)])
+                                           (3, 2, 1, 1), (1, 13, 3, 4),
+                                           (36, 40, 3, 90)])
 def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
-    """Against a dense K = I - alpha S: KZ is K Z, E^-1 inverts Z^T K Z,
-    and Z has one entry, root_i, per pixel, in tiles of max(4,
-    ceil(max(h, w) / 16), ceil(R / 2)) pixels a side."""
+    """Against a dense K = I - alpha S: KZ is K Z, the coarse solve
+    inverts E = Z^T K Z, and Z has one entry, root_i, per pixel, in tiles
+    of max(4, ceil(max(h, w) / 16), ceil(R / 2)) pixels a side. In
+    row-major tile order E is zero beyond 2 across + 2 bands, which its
+    banded factor relies on; 90 tiles give it 22."""
     a = symmetric_transition(h, w, r, seed=14)
     root = np.sqrt(a.degree)[:, None]
     k = np.eye(a.num_pixels) - 0.99 * root * a.dense() / root.T
-    z, leak, e_inv = _tile_space(a.pattern, lambda x: k @ x, root)
+    z, leak, coarse_solve = _tile_space(a.pattern, lambda x: k @ x, root)
     z = z.toarray()
-    assert e_inv.shape == (tiles, tiles)
+    assert z.shape == (a.num_pixels, tiles)
     np.testing.assert_array_equal(np.count_nonzero(z, 1), 1)
     np.testing.assert_array_equal(z.sum(1), root[:, 0])
     np.testing.assert_allclose(z - leak.toarray(), k @ z, atol=1e-12)
-    np.testing.assert_allclose(e_inv @ z.T @ k @ z, np.eye(tiles), atol=1e-9)
+    e = z.T @ k @ z
+    side = max(4, -(-max(h, w) // 16), -(-r // 2))
+    bands = 2 * -(-w // side) + 2
+    np.testing.assert_array_equal(np.triu(e, bands + 1), 0.0)
+    np.testing.assert_array_equal(np.tril(e, -bands - 1), 0.0)
+    np.testing.assert_allclose(coarse_solve(e), np.eye(tiles), atol=1e-9)
 
 
 def test_accuracy_improves_monotonically_with_steps():
