@@ -42,8 +42,9 @@ benchmarks, return the second.
     piecewise-constant vector, so p tile aggregates Z_ip = D_i^1/2, i in
     tile p (tiles of t x t pixels, see the rule), hold the slow modes.
     Each start and restart first solves on Z, z += Z u with E u = Z^T r,
-    E = Z^T (I - alpha S) Z, banded and factored once by Cholesky, and
-    residuals are preconditioned by Tang et al. 2009's A-DEF2 operator.
+    E = Z^T (I - alpha S) Z, built from one sparse product of W with the
+    tile indicator, banded and factored once by Cholesky, and residuals
+    are preconditioned by Tang et al. 2009's A-DEF2 operator.
     z and r stay the original system's, so the stop rule and the bound
     hold as they are.
 
@@ -82,9 +83,10 @@ CG_MIN_ALPHA = 0.6
 # 100-109, seed 1), R5, tolerance 1e-6, 2-core host, two repeats.
 DEFLATE_MIN_ALPHA = 0.97
 # Tiles are t x t, t = max(4, ceil(max(h, w) / 16), ceil(R / 2)), so that
-# p <= 256 and each pixel's neighbors lie within 5 x 5 tiles. The rule
-# was measured at 64x64 only: there 4 x 4 tiles took the 37 products
-# above and 8 x 8 took 47. At 375x500 it gives 192 tiles of 32 x 32.
+# p <= 256 and each pixel's neighbors lie within 5 x 5 tiles, which
+# bounds E's band. The rule was measured at 64x64 only: there 4 x 4 tiles
+# took the 37 products above and 8 x 8 took 47. At 375x500 it gives 192
+# tiles of 32 x 32.
 
 
 @dataclass
@@ -131,33 +133,30 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
         iterations=cfg.max_iterations)
 
 
-def _tile_space(pattern, apply, root: np.ndarray):
-    """Z (Z_ip = root_i for pixel i in tile p), Z - KZ (K = I - alpha S,
-    as `apply` applies it) and x -> E^-1 x, E = Z^T K Z. Neighbors lie
-    within two tiles per axis, where the 25 colors (ty mod 5, tx mod 5)
-    differ, so KZ is K applied once to the pixels' one-hot tile colors
-    times root, and E, in row-major tile order, is zero beyond its
-    2 across + 2 bands: one banded Cholesky factor solves it."""
+def _tile_space(a: TransitionMatrix, alpha: float, root: np.ndarray):
+    """Z (Z_ip = root_i for pixel i in tile p), Z - KZ (K = I - alpha S)
+    and x -> E^-1 x, E = Z^T K Z. With T the 0/1 tile indicator, Z =
+    D^1/2 T and Z - KZ = alpha D^-1/2 W T, one sparse product with W =
+    W_h + W_h^T. Neighbors lie within two tiles per axis, so E, in
+    row-major tile order, is zero beyond its 2 across + 2 bands: one
+    banded Cholesky factor solves it."""
+    pattern = a.pattern
     side = max(4, -(-max(pattern.height, pattern.width) // 16),
                -(-pattern.radius // 2))
     down, across = -(-pattern.height // side), -(-pattern.width // side)
-    ty, tx = np.divmod(np.arange(down * across)[:, None], across)
-    cy, cx = np.divmod(np.arange(25), 5)
-    # the tile of each color nearest each tile
-    near = (ty + (cy - ty + 2) % 5 - 2) * across + tx + (cx - tx + 2) % 5 - 2
     y, x = np.divmod(np.arange(pattern.num_pixels), pattern.width)
-    agg, shape = y // side * across + x // side, (y.size, down * across)
-    table = np.zeros((y.size, 25))
-    table[np.arange(y.size), y // side % 5 * 5 + x // side % 5] = root[:, 0]
-    table = apply(table)
-    i, c = np.nonzero(table)
-    kz = sp.csr_matrix((table[i, c], (i, near[agg[i], c])), shape=shape)
-    z = sp.csr_matrix((root[:, 0], agg, np.arange(y.size + 1)), shape=shape)
-    e, bands = z.T @ kz, min(2 * across + 2, down * across - 1)
+    shape, indptr = (y.size, down * across), np.arange(y.size + 1)
+    tiles = sp.csr_matrix((np.ones(y.size), y // side * across + x // side,
+                           indptr), shape=shape)
+    w_h = sp.csr_matrix((a.weights, (pattern.rows_h, pattern.cols_h)),
+                        shape=(y.size, y.size))
+    leak = sp.csr_matrix((w_h @ tiles + w_h.T @ tiles).multiply(alpha / root))
+    z = sp.csr_matrix((root[:, 0], tiles.indices, indptr), shape=shape)
+    e, bands = z.T @ (z - leak), min(2 * across + 2, down * across - 1)
     # E's upper band, its k-th diagonal in row bands - k
     factor = cholesky_banded([np.pad(e.diagonal(k), (k, 0))
                               for k in range(bands, -1, -1)])
-    return z, z - kz, lambda r: cho_solve_banded((factor, False), r)
+    return z, leak, lambda r: cho_solve_banded((factor, False), r)
 
 
 def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
@@ -168,12 +167,11 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
     `products` with S, the `iterations`, the `restarts`, the final error
     `bound` and the coarse space's `tiles` p (0 without one).
 
-    From `DEFLATE_MIN_ALPHA` on, `coarse_space(a.pattern, apply, root)`
-    gives (Z, Z - KZ, x -> E^-1 x), see `_tile_space`, or None turns it
-    off; its one product counts in `products`. S x = D^-1/2 W D^-1/2 x
-    applies W directly, `a.wmatvec`. `transition` gives a row without
-    neighbors degree 1, so S is zero there and y = (1 - alpha) f, as in
-    the loop.
+    From `DEFLATE_MIN_ALPHA` on, `coarse_space(a, alpha, root)` gives
+    (Z, Z - KZ, x -> E^-1 x), see `_tile_space`, or None turns it off.
+    S x = D^-1/2 W D^-1/2 x applies W directly, `a.wmatvec`. `transition`
+    gives a row without neighbors degree 1, so S is zero there and
+    y = (1 - alpha) f, as in the loop.
     """
     f = _check_scores(a, f)
     alpha = cfg.alpha
@@ -187,7 +185,7 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
 
     report = dict(products=0, iterations=0, restarts=0, bound=0.0)
     coarse = (alpha >= DEFLATE_MIN_ALPHA and coarse_space
-              and coarse_space(a.pattern, apply, root))
+              and coarse_space(a, alpha, root))
     z_c, leak, coarse_solve = coarse or (None, None, None)
     report["tiles"] = z_c.shape[1] if coarse else 0
 
@@ -313,11 +311,11 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
-                        num_classes: int = 3, repeats: int = 9,
-                        seed: int = 0) -> BenchReport:
+                        repeats: int = 9) -> BenchReport:
     """Wall-clock one sparse step vs the converged solve vs the dense solve.
 
-    One row per (h, w) in `sizes`. The sparse step runs on one thread, so
+    One row per (h, w) in `sizes`, on uniform random affinities and 3
+    random score columns (seed 0). The sparse step runs on one thread, so
     timings are comparable across machines. The dense elimination uses
     whatever the BLAS provides, which only makes the dense side look
     faster. `dense_ms` is NaN where the dense guard forbids the solve.
@@ -326,13 +324,13 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
         raise InvalidInputError("need at least one (h, w) size")
     if repeats < 1:
         raise InvalidInputError("repeats must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     report = BenchReport()
     for height, width in sizes:
         pattern = build_sparsity(height, width, radius)
         w = rng.uniform(0.5, 1.5, pattern.num_edges)
         a = transition(pattern, w)
-        f = rng.standard_normal((pattern.num_pixels, num_classes))
+        f = rng.standard_normal((pattern.num_pixels, 3))
         a.matvec(f)  # build A's sparse matrix before timing
         step_ms = _median_time(lambda: a.matvec(f), repeats)
         begin = time.perf_counter()

@@ -186,9 +186,10 @@ def corrupt_unaries(f_clean: np.ndarray, band: np.ndarray, flip_prob: float,
     return damaged
 
 
-def oracle_affinity(labels: np.ndarray, pattern: SparsityPattern,
-                    eps: float = 1e-6) -> np.ndarray:
+def oracle_affinity(labels: np.ndarray,
+                    pattern: SparsityPattern) -> np.ndarray:
     """Affinities straight from ground truth, one per pixel pair: 1 for
-    same-label pairs, `eps` for label-crossing ones. `eps` stays strictly
-    positive so every row of the transition matrix remains normalizable."""
-    return np.maximum(same_label_pairs(labels, pattern), eps)
+    same-label pairs, 1e-6 for label-crossing ones. That floor stays
+    strictly positive so every row of the transition matrix remains
+    normalizable."""
+    return np.maximum(same_label_pairs(labels, pattern), 1e-6)

@@ -302,7 +302,7 @@ def test_deflation_cuts_products_on_an_oracle_scene():
                                            (3, 2, 1, 1), (1, 13, 3, 4),
                                            (36, 40, 3, 90)])
 def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
-    """Against a dense K = I - alpha S: KZ is K Z, the coarse solve
+    """Against a dense K = I - alpha S: Z - leak is K Z, the coarse solve
     inverts E = Z^T K Z, and Z has one entry, root_i, per pixel, in tiles
     of max(4, ceil(max(h, w) / 16), ceil(R / 2)) pixels a side. In
     row-major tile order E is zero beyond 2 across + 2 bands, which its
@@ -310,7 +310,7 @@ def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
     a = symmetric_transition(h, w, r, seed=14)
     root = np.sqrt(a.degree)[:, None]
     k = np.eye(a.num_pixels) - 0.99 * root * a.dense() / root.T
-    z, leak, coarse_solve = _tile_space(a.pattern, lambda x: k @ x, root)
+    z, leak, coarse_solve = _tile_space(a, 0.99, root)
     z = z.toarray()
     assert z.shape == (a.num_pixels, tiles)
     np.testing.assert_array_equal(np.count_nonzero(z, 1), 1)

@@ -124,7 +124,7 @@ def test_cross_label_edges_get_epsilon():
     labels = np.zeros((2, 2), dtype=int)
     labels[0, 0] = 1
     pattern = build_sparsity(2, 2, 1)
-    w = oracle_affinity(labels, pattern, eps=1e-6)
+    w = oracle_affinity(labels, pattern)
     same = labels.ravel()[pattern.rows] == labels.ravel()[pattern.cols]
     half = pattern.num_edges // 2
     np.testing.assert_array_equal(same[:half], same[half:])
