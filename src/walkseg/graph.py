@@ -388,25 +388,23 @@ class TransitionMatrix:
 
 def transition(pattern: SparsityPattern, w: np.ndarray) -> TransitionMatrix:
     """Row-normalize affinities W, per pixel pair or per edge slot (taken per
-    pair if its halves are equal), into walk probabilities W_ij / D_i."""
+    pair if its halves are equal), into walk probabilities W_ij / D_i. The
+    degrees D = W 1 are one product of the matrix with D = I, which is W."""
     w = np.asarray(w, dtype=np.float64)
     pairs, n = pattern.num_pairs, pattern.num_pixels
     if w.shape == (2 * pairs,) and np.array_equal(w[:pairs], w[pairs:]):
         w = w[:pairs]
     if w.shape not in ((pairs,), (2 * pairs,)):
         raise InvalidInputError(f"{w.shape} affinities for {pairs} pairs")
-    a = TransitionMatrix(pattern, w, np.ones(n))  # D = I, so A 1 = W 1
-    degree = (a.matvec(np.ones(n)) if a.symmetric
-              else np.bincount(pattern.rows, weights=w, minlength=n))
+    degree = TransitionMatrix(pattern, w, np.ones(n)).matvec(np.ones(n))
     if not np.all(np.isfinite(degree)):  # as W is, or its rows overflow
         raise InvalidInputError("non-finite affinities")
     degree[np.diff(pattern.indptr) == 0] = 1.0  # no edges: A does not change
     if np.any(degree <= 0.0):  # every row must be normalizable
         raise InvalidInputError("row of affinities sums to zero")
-    if not a.symmetric:  # no product has read the weights yet
-        a.weights = w / np.take(degree, pattern.rows)
-    a.degree = degree
-    return a
+    if w.size != pairs:
+        w = w / np.take(degree, pattern.rows)
+    return TransitionMatrix(pattern, w, degree)
 
 
 def dump_edges(pattern: SparsityPattern, values: np.ndarray, fh) -> None:

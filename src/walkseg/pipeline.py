@@ -32,8 +32,7 @@ class CorruptionConfig:
 
 def model_scores(ckpt: ModelCheckpoint, image):
     """Pre-diffusion class scores of a checkpointed model, (h*w, m)."""
-    stack = prepare_stack(image, ckpt.bank)
-    return unary_forward(stack.reshape(-1, ckpt.k), ckpt.unary)
+    return predict(ckpt, image, steps=0)[1]
 
 
 def model_transition(ckpt: ModelCheckpoint, image, radius: int):

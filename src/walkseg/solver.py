@@ -314,8 +314,9 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
                         repeats: int = 9) -> BenchReport:
     """Wall-clock one sparse step vs the converged solve vs the dense solve.
 
-    One row per (h, w) in `sizes`, on uniform random affinities and 3
-    random score columns (seed 0). The sparse step runs on one thread, so
+    One row per (h, w) in `sizes`, on uniform random affinities, one per
+    pixel pair as the model and the oracle give them, and 3 random score
+    columns (seed 0). The sparse step runs on one thread, so
     timings are comparable across machines. The dense elimination uses
     whatever the BLAS provides, which only makes the dense side look
     faster. `dense_ms` is NaN where the dense guard forbids the solve.
@@ -328,7 +329,7 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
     report = BenchReport()
     for height, width in sizes:
         pattern = build_sparsity(height, width, radius)
-        w = rng.uniform(0.5, 1.5, pattern.num_edges)
+        w = rng.uniform(0.5, 1.5, pattern.num_pairs)
         a = transition(pattern, w)
         f = rng.standard_normal((pattern.num_pixels, 3))
         a.matvec(f)  # build A's sparse matrix before timing

@@ -57,7 +57,7 @@ def class_palette(num_classes: int) -> np.ndarray:
     return np.asarray(colors)
 
 
-def _paint_ellipse(labels, rng, cls):
+def _paint_ellipse(labels, rng):
     h, w = labels.shape
     ry = rng.uniform(2.0, max(2.5, h / 4))
     rx = rng.uniform(2.0, max(2.5, w / 4))
@@ -68,7 +68,7 @@ def _paint_ellipse(labels, rng, cls):
     return inside
 
 
-def _paint_rectangle(labels, rng, cls):
+def _paint_rectangle(labels, rng):
     h, w = labels.shape
     y0 = rng.integers(1, h - 3)
     x0 = rng.integers(1, w - 3)
@@ -79,7 +79,7 @@ def _paint_rectangle(labels, rng, cls):
     return inside
 
 
-def _paint_polygon(labels, rng, cls):
+def _paint_polygon(labels, rng):
     # convex polygon: sorted angles around a center, inside = all half-planes
     h, w = labels.shape
     sides = rng.integers(3, 7)
@@ -123,7 +123,7 @@ def generate(spec: SceneSpec, count: int, start_index: int = 0):
         for _ in range(num_shapes):
             cls = int(rng.integers(1, spec.num_classes))
             kind = spec.shape_types[int(rng.integers(len(spec.shape_types)))]
-            inside = _PAINTERS[kind](labels, rng, cls)
+            inside = _PAINTERS[kind](labels, rng)
             inside[0, :] = inside[-1, :] = False
             inside[:, 0] = inside[:, -1] = False
             if not inside.any():

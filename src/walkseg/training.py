@@ -182,7 +182,8 @@ def sample_losses_grads(image, labels, theta, unary, cfg: TrainConfig,
     diff = w - same_label_pairs(labels, pattern)
     aff_loss = float(diff @ diff)
     g = rw_backward_pairs(a, dy, f, af, cfg.seg_loss_weight * cfg.alpha)
-    g += 2.0 * cfg.aff_loss_weight * diff
+    diff *= 2.0 * cfg.aff_loss_weight
+    g += diff
     g *= w
     dtheta = pair_affinity_backward(stack, pattern, g)
 
@@ -202,31 +203,24 @@ def train_step(batch, state: TrainState, cfg: TrainConfig,
     """
     if not batch:
         raise InvalidInputError("empty batch")
-    k = state.theta.size
-    seg_sum = aff_sum = 0.0
-    g_theta = np.zeros(k)
-    g_weights = np.zeros_like(state.unary.weights)
-    g_bias = np.zeros_like(state.unary.bias)
+    sums = (0.0,) * 5  # losses and gradients, summed in batch order
     for image, labels in batch:
         pattern = build_sparsity(labels.shape[0], labels.shape[1],
                                  cfg.train_radius)
-        seg, aff, dtheta, dweights, dbias = sample_losses_grads(
-            image, labels, state.theta, state.unary, cfg, bank, pattern)
-        seg_sum += seg
-        aff_sum += aff
-        g_theta += dtheta
-        g_weights += dweights
-        g_bias += dbias
+        sample = sample_losses_grads(image, labels, state.theta, state.unary,
+                                     cfg, bank, pattern)
+        sums = tuple(s + x for s, x in zip(sums, sample))
     scale = 1.0 / len(batch)
-    seg_loss, aff_loss = seg_sum * scale, aff_sum * scale
+    seg_loss, aff_loss, *grads = (s * scale for s in sums)
     total = cfg.seg_loss_weight * seg_loss + cfg.aff_loss_weight * aff_loss
     if not np.isfinite(total):
         raise DivergenceError(
             f"non-finite loss at iteration {state.iteration + 1}",
             iteration=state.iteration + 1)
-    sgd_update(state.theta, g_theta * scale, state.vel_theta, cfg)
-    sgd_update(state.unary.weights, g_weights * scale, state.vel_weights, cfg)
-    sgd_update(state.unary.bias, g_bias * scale, state.vel_bias, cfg)
+    params = (state.theta, state.unary.weights, state.unary.bias)
+    velocities = (state.vel_theta, state.vel_weights, state.vel_bias)
+    for param, grad, velocity in zip(params, grads, velocities):
+        sgd_update(param, grad, velocity, cfg)
     state.iteration += 1
     return seg_loss, aff_loss, total
 

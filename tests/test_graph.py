@@ -654,6 +654,25 @@ def test_walk_step_stays_within_the_scores(h, w, r, mirrored, log_w, log_x,
     assert np.abs(y).max() <= np.abs(x).max() * (1.0 + 1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(2, 6), r=st.integers(1, 4),
+       seed=st.integers(0, 500))
+@example(h=1, w=2, r=1, seed=0)
+def test_per_edge_degree_and_values_are_exact(h, w, r, seed):
+    """On per-edge W spread over 16 decades, where the summation order
+    shows in the last bits, D is exactly `np.bincount(rows, w)` and A
+    exactly w / D[rows]."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    weights = 10.0 ** rng.uniform(-8.0, 8.0, pattern.num_edges)
+    a = transition(pattern, weights)
+    assert not a.symmetric
+    degree = np.bincount(pattern.rows, weights=weights,
+                         minlength=pattern.num_pixels)
+    assert a.degree.tobytes() == degree.tobytes()
+    assert a.values.tobytes() == (weights / degree[pattern.rows]).tobytes()
+
+
 def test_products_share_the_edge_arrays_and_keep_the_transpose():
     """A and A^T wrap A's values and the pattern's index arrays without
     copies, and repeated A^T products reuse the first one's transpose."""

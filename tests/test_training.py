@@ -346,6 +346,45 @@ def test_single_sample_training_equals_train_step():
     np.testing.assert_array_equal(ckpt.unary.weights, state.unary.weights)
 
 
+def test_batch_step_is_the_summed_samples_then_one_update_per_parameter():
+    """A 3-sample `train_step` against an independent reference: each
+    sample's `sample_losses_grads` summed in batch order, scaled by 1/3,
+    then one `sgd_update` per parameter. Losses, parameters and
+    velocities match bit for bit, after a first step has made the
+    velocities non-zero."""
+    dataset = smoke_dataset(3)
+    bank = FilterBankConfig(f1=2, f2=2, seed=0)
+    cfg = smoke_config(momentum=0.9, weight_decay=5e-3)
+    state = init_state(bank.num_channels, 4, cfg.seed)
+    train_step(dataset[:1], state, cfg, bank)
+    ref = copy.deepcopy(state)
+
+    losses = train_step(dataset, state, cfg, bank)
+
+    pattern = build_sparsity(16, 16, cfg.train_radius)
+    seg = aff = 0.0
+    grads = [np.zeros_like(p) for p in (ref.theta, ref.unary.weights,
+                                        ref.unary.bias)]
+    for image, labels in dataset:
+        s, a, *g = sample_losses_grads(image, labels, ref.theta, ref.unary,
+                                       cfg, bank, pattern)
+        seg, aff = seg + s, aff + a
+        for total, part in zip(grads, g):
+            total += part
+    scale = 1.0 / 3
+    seg, aff = seg * scale, aff * scale
+    assert losses == (seg, aff, cfg.seg_loss_weight * seg
+                      + cfg.aff_loss_weight * aff)
+    sgd_update(ref.theta, grads[0] * scale, ref.vel_theta, cfg)
+    sgd_update(ref.unary.weights, grads[1] * scale, ref.vel_weights, cfg)
+    sgd_update(ref.unary.bias, grads[2] * scale, ref.vel_bias, cfg)
+    for name in ("theta", "vel_theta", "vel_weights", "vel_bias"):
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes()
+    assert state.unary.weights.tobytes() == ref.unary.weights.tobytes()
+    assert state.unary.bias.tobytes() == ref.unary.bias.tobytes()
+    assert state.iteration == 2
+
+
 def test_seeded_runs_are_bit_identical():
     dataset = smoke_dataset()
     bank = FilterBankConfig(f1=2, f2=2, seed=0)
