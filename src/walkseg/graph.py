@@ -71,7 +71,9 @@ class SparsityPattern:
     (dy, dx) order, listed by `blocks`. Edge slot e is the directed pair
     (rows[e], cols[e]): the pairs, then their mirrors, so an edge array
     ``v`` is symmetric iff ``v[:half] == v[half:]``. `rows` and `cols`
-    are built on first read and kept.
+    are built on first read and kept, and so is `row_order`, the pair
+    slots in row order, through which the solver stores a pair array as
+    one CSR matrix.
 
     The pattern carries the run plan of the learned affinities. An
     offset's window is one block, or, where it holds more than
@@ -113,6 +115,24 @@ class SparsityPattern:
     @functools.cached_property
     def cols(self) -> np.ndarray:
         return _read_only(np.concatenate((self.cols_h, self.rows_h)))
+
+    @functools.cached_property
+    def row_order(self) -> tuple:
+        """(order, cols, indptr): the pair slots sorted by row, their
+        columns and a per-row indptr over the pairs, so that the pair
+        values v are the CSR matrix (v[order], cols, indptr) of W_h,
+        which is strictly upper triangular. A row's pairs already ascend
+        in column, so a stable sort of `rows_h` is enough."""
+        n, index = self.num_pixels, self.rows_h.dtype
+        # one buffer for order and cols: two persistent blocks left more
+        # of the heap unusable to later per-solve arrays
+        order_cols = np.empty((2, self.num_pairs), dtype=index)
+        order_cols[0] = np.argsort(self.rows_h, kind="stable")
+        np.take(self.cols_h, order_cols[0], out=order_cols[1])
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(self.rows_h, minlength=n), out=indptr[1:])
+        order, cols = _read_only(order_cols)
+        return order, cols, _read_only(indptr)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -324,8 +344,9 @@ class TransitionMatrix:
     makes A `symmetric`; or else A per edge slot (a non-symmetric W, or
     free entries). Products wrap `weights` and the pattern's index arrays
     in one COO matrix and its kept transpose, without copies; in the
-    symmetric form A x = D^-1 (W x) and A^T x = W D^-1 x, and the solver
-    applies D^-1/2 W D^-1/2. `values` is A per edge slot.
+    symmetric form A x = D^-1 (W x) and A^T x = W D^-1 x. The solver
+    applies D^-1/2 W D^-1/2 from its own CSR copy, in `row_order`.
+    `values` is A per edge slot.
     """
 
     pattern: SparsityPattern

@@ -28,25 +28,28 @@ benchmarks, return the second.
     (D - alpha W) y = D f;
     with S = D^-1/2 W D^-1/2 it is (I - alpha S) z = D^1/2 f and
     y = (1 - alpha) D^-1/2 z. The loop needs about log(tol) / log(alpha)
-    sweeps, CG about sqrt(1 / (1 - alpha)) iterations. Because
-    the error of y is (1 - alpha) (I - alpha A)^-1 D^-1/2 r for the
-    residual r of the z system, and (1 - alpha) sum_k alpha^k A^k is
-    nonnegative with row sums <= 1, the residual bounds the error:
-    ||y - y*||_inf <= max_ic |r_ic| / sqrt(D_i). CG stops when that
-    falls below `tolerance` on the recomputed residual b - (I - alpha S) z.
-    The updated residual drifts from it, so when only the updated one
-    passes, CG restarts from the recomputed one. It reports its products
-    with S, its iterations and restarts, the final bound and its tiles.
+    sweeps, CG about sqrt(1 / (1 - alpha)) iterations. CG forms the
+    strict upper triangle K_h = -alpha D^-1/2 W_h D^-1/2 of I - alpha S
+    once per solve, one CSR matrix in the pattern's row order, and
+    applies I - alpha S = I + K_h + K_h^T as one CSR and one CSC pass
+    over the same three arrays. Because the error of y is (1 - alpha)
+    (I - alpha A)^-1 D^-1/2 r for the residual r of the z system, and
+    (1 - alpha) sum_k alpha^k A^k is nonnegative with row sums <= 1, the
+    residual bounds the error: ||y - y*||_inf <= max_ic |r_ic| / sqrt(D_i).
+    CG stops when that falls below `tolerance` on the recomputed residual
+    b - (I - alpha S) z. The updated residual drifts from it, so when only
+    the updated one passes, CG restarts from the recomputed one. It
+    reports its products with S, its iterations and restarts, the final
+    bound and its tiles.
     From alpha DEFLATE_MIN_ALPHA on, CG is deflated (Nicolaides 1987). S
     has about one eigenvalue >= 0.99 per segment, near D^1/2 times a
     piecewise-constant vector, so p tile aggregates Z_ip = D_i^1/2, i in
     tile p (tiles of t x t pixels, see the rule), hold the slow modes.
     Each start and restart first solves on Z, z += Z u with E u = Z^T r,
-    E = Z^T (I - alpha S) Z, built from one sparse product of W with the
-    tile indicator, banded and factored once by Cholesky, and residuals
-    are preconditioned by Tang et al. 2009's A-DEF2 operator.
-    z and r stay the original system's, so the stop rule and the bound
-    hold as they are.
+    E = Z^T (I - alpha S) Z, built from K_h Z and K_h^T Z, banded and
+    factored once by Cholesky, and residuals are preconditioned by Tang
+    et al. 2009's A-DEF2 operator. z and r stay the original system's,
+    so the stop rule and the bound hold as they are.
 
 The series of `solve_closed_form` stops when its terms after term t, at
 most alpha / (1 - alpha) max|term_t|, fall below `tolerance`. Errors are
@@ -59,9 +62,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse._sparsetools import (csc_matvecs, csr_matvecs,
+                                       csr_scale_columns, csr_scale_rows)
 
 from .errors import ConvergenceError, InvalidInputError
-from .graph import TransitionMatrix, build_sparsity, transition
+from .graph import SparsityPattern, TransitionMatrix, build_sparsity, transition
 from .walk import rw_step, _check_scores
 
 # dense solves above this pixel count are almost certainly a mistake
@@ -133,25 +138,20 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
         iterations=cfg.max_iterations)
 
 
-def _tile_space(a: TransitionMatrix, alpha: float, root: np.ndarray):
-    """Z (Z_ip = root_i for pixel i in tile p), Z - KZ (K = I - alpha S)
-    and x -> E^-1 x, E = Z^T K Z. With T the 0/1 tile indicator, Z =
-    D^1/2 T and Z - KZ = alpha D^-1/2 W T, one sparse product with W =
-    W_h + W_h^T. Neighbors lie within two tiles per axis, so E, in
-    row-major tile order, is zero beyond its 2 across + 2 bands: one
-    banded Cholesky factor solves it."""
-    pattern = a.pattern
+def _tile_space(pattern: SparsityPattern, k_h: sp.csr_matrix,
+                root: np.ndarray):
+    """Z (Z_ip = root_i for pixel i in tile p), Z - KZ and x -> E^-1 x,
+    E = Z^T K Z, for K = I + K_h + K_h^T. Z - KZ = -(K_h Z + K_h^T Z),
+    one sparse product each way. Neighbors lie within two tiles per
+    axis, so E, in row-major tile order, is zero beyond its 2 across + 2
+    bands: one banded Cholesky factor solves it."""
     side = max(4, -(-max(pattern.height, pattern.width) // 16),
                -(-pattern.radius // 2))
     down, across = -(-pattern.height // side), -(-pattern.width // side)
     y, x = np.divmod(np.arange(pattern.num_pixels), pattern.width)
-    shape, indptr = (y.size, down * across), np.arange(y.size + 1)
-    tiles = sp.csr_matrix((np.ones(y.size), y // side * across + x // side,
-                           indptr), shape=shape)
-    w_h = sp.csr_matrix((a.weights, (pattern.rows_h, pattern.cols_h)),
-                        shape=(y.size, y.size))
-    leak = sp.csr_matrix((w_h @ tiles + w_h.T @ tiles).multiply(alpha / root))
-    z = sp.csr_matrix((root[:, 0], tiles.indices, indptr), shape=shape)
+    z = sp.csr_matrix((root[:, 0], y // side * across + x // side,
+                       np.arange(y.size + 1)), shape=(y.size, down * across))
+    leak = -(k_h @ z + k_h.T @ z)
     e, bands = z.T @ (z - leak), min(2 * across + 2, down * across - 1)
     # E's upper band, its k-th diagonal in row bands - k
     factor = cholesky_banded([np.pad(e.diagonal(k), (k, 0))
@@ -167,25 +167,36 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
     `products` with S, the `iterations`, the `restarts`, the final error
     `bound` and the coarse space's `tiles` p (0 without one).
 
-    From `DEFLATE_MIN_ALPHA` on, `coarse_space(a, alpha, root)` gives
+    K = I - alpha S is I + K_h + K_h^T, K_h = -alpha D^-1/2 W_h D^-1/2
+    its strict upper triangle, formed once per solve as CSR in the
+    pattern's `row_order`. The same three arrays read as CSC are K_h^T,
+    so K x is one CSR and one CSC pass, added onto a copy of x. From
+    `DEFLATE_MIN_ALPHA` on, `coarse_space(pattern, K_h, root)` gives
     (Z, Z - KZ, x -> E^-1 x), see `_tile_space`, or None turns it off.
-    S x = D^-1/2 W D^-1/2 x applies W directly, `a.wmatvec`. `transition`
-    gives a row without neighbors degree 1, so S is zero there and
-    y = (1 - alpha) f, as in the loop.
+    `transition` gives a row without neighbors degree 1, so S is zero
+    there and y = (1 - alpha) f, as in the loop.
     """
     f = _check_scores(a, f)
-    alpha = cfg.alpha
+    alpha, n = cfg.alpha, a.num_pixels
     root = np.sqrt(a.degree)[:, None]
     inv_root = 1.0 / root
-    alpha_inv_root = alpha * inv_root
+    order, cols, indptr = a.pattern.row_order
+    k_h = a.weights[order]  # W_h, scaled in place: no pair-sized temporary
+    csr_scale_rows(n, n, indptr, cols, k_h, -alpha * inv_root[:, 0])
+    csr_scale_columns(n, n, indptr, cols, k_h, inv_root[:, 0])
+    k_h = sp.csr_matrix((k_h, cols, indptr), shape=(n, n))
 
     def apply(x):
         report["products"] += 1
-        return x - alpha_inv_root * a.wmatvec(inv_root * x)
+        kx = x.copy()
+        for matvecs in (csr_matvecs, csc_matvecs):
+            matvecs(n, n, x.shape[1], k_h.indptr, k_h.indices, k_h.data, x,
+                    kx)
+        return kx
 
     report = dict(products=0, iterations=0, restarts=0, bound=0.0)
     coarse = (alpha >= DEFLATE_MIN_ALPHA and coarse_space
-              and coarse_space(a, alpha, root))
+              and coarse_space(a.pattern, k_h, root))
     z_c, leak, coarse_solve = coarse or (None, None, None)
     report["tiles"] = z_c.shape[1] if coarse else 0
 

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,33 @@ def test_pattern_is_memoised_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, seed=0)  # no pairs
+@example(h=1, w=9, r=2, seed=1)
+@example(h=4, w=3, r=6, seed=2)  # radius beyond the image
+def test_row_order_is_the_csr_form_of_the_pairs(h, w, r, seed):
+    """`row_order` is a permutation of the pair slots under which any
+    pair array is the CSR matrix of W_h; its arrays are read-only."""
+    pattern = build_sparsity(h, w, r)
+    order, cols, indptr = pattern.row_order
+    assert pattern.row_order is pattern.row_order
+    np.testing.assert_array_equal(np.sort(order), np.arange(pattern.num_pairs))
+    n = pattern.num_pixels
+    v = np.random.default_rng(seed).uniform(0.1, 2.0, pattern.num_pairs)
+    csr = sp.csr_matrix((v[order], cols, indptr), shape=(n, n))
+    assert csr.has_sorted_indices
+    dense = sp.coo_matrix((v, (pattern.rows_h, pattern.cols_h)),
+                          shape=(n, n)).toarray()
+    np.testing.assert_array_equal(csr.toarray(), dense)
+    for array in (order, cols, indptr):
+        assert array.dtype == np.int32
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_image_transition, random_transition
+from walkseg import solver
 from walkseg.errors import ConvergenceError, InvalidInputError
 from walkseg.graph import build_sparsity, transition
 from walkseg.pipeline import CorruptionConfig, oracle_scene, oracle_transition
@@ -229,6 +231,27 @@ def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale,
         assert np.max(np.abs(series - resolvent)) < cfg.tolerance
 
 
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 8),
+       alpha=st.sampled_from([0.6, 0.99]), seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, alpha=0.6, seed=0)  # no pairs
+@example(h=1, w=1, r=3, alpha=0.99, seed=1)
+@example(h=1, w=6, r=2, alpha=0.6, seed=2)
+@example(h=6, w=1, r=1, alpha=0.99, seed=3)
+@example(h=3, w=4, r=8, alpha=0.6, seed=4)  # radius beyond the image
+@example(h=5, w=2, r=6, alpha=0.99, seed=5)
+def test_solve_through_the_csr_form_of_s_matches_dense(h, w, r, alpha, seed):
+    """Conjugate gradients form K_h in the pattern's row order once per
+    solve; on grids without pairs, of one row or column, and with the
+    radius beyond the image, `solve` lands within `tolerance` of the dense
+    damped fixed point, plain and deflated."""
+    a = symmetric_transition(h, w, r, seed)
+    f = np.random.default_rng(seed).standard_normal((a.num_pixels, 3))
+    cfg = SolverConfig(alpha=alpha)
+    exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
+    assert np.max(np.abs(solve(a, f, cfg) - exact)) < cfg.tolerance
+
+
 def test_asymmetric_affinities_keep_the_loop():
     a, w = random_transition(3, 3, 1, seed=12)
     half = a.pattern.num_edges // 2
@@ -248,10 +271,10 @@ def test_conjugate_gradient_budget_exhaustion_reports_bound():
     assert err.value.iterations == 2
 
 
-def test_oracle_scene_at_large_alpha_meets_tolerance():
+def test_oracle_scene_at_large_alpha_meets_tolerance(monkeypatch):
     """The fixed-point loop's old stop rule, max|dy| < 1e-6, left this scene
     about 3e-5 away from the dense solve at alpha 0.99. Conjugate gradients
-    get there in far fewer products with W than the loop's sweeps. At
+    get there in far fewer products with S than the loop's sweeps. At
     tolerance 1e-13 the updated residual passes the stop test before the
     recomputed one does, so CG restarts from the recomputed residual."""
     (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
@@ -259,8 +282,9 @@ def test_oracle_scene_at_large_alpha_meets_tolerance():
     a = oracle_transition(labels, 5)
     exact = (1.0 - 0.99) * dense_oracle_solve(a, damaged, 0.99)
     products = []
-    wmatvec = a.wmatvec
-    a.wmatvec = lambda x: products.append(1) or wmatvec(x)
+    csr_matvecs = solver.csr_matvecs  # one CSR pass per product with S
+    monkeypatch.setattr(solver, "csr_matvecs",
+                        lambda *args: products.append(1) or csr_matvecs(*args))
     cfg = SolverConfig(alpha=0.99, tolerance=1e-13)
     y, report = _symmetric_cg(a, damaged, cfg)
     assert report["products"] == len(products)
@@ -270,7 +294,7 @@ def test_oracle_scene_at_large_alpha_meets_tolerance():
     cfg = SolverConfig(alpha=0.99)
     y, report = _symmetric_cg(a, damaged, cfg)
     assert report["products"] == len(products)
-    a.wmatvec = wmatvec
+    monkeypatch.undo()
     np.testing.assert_array_equal(solve(a, damaged, cfg), y)
     assert np.max(np.abs(y - exact)) < 1e-6
     y_loop, sweeps = diffuse_to_convergence(a, damaged, cfg)
@@ -302,15 +326,19 @@ def test_deflation_cuts_products_on_an_oracle_scene():
                                            (3, 2, 1, 1), (1, 13, 3, 4),
                                            (36, 40, 3, 90)])
 def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
-    """Against a dense K = I - alpha S: Z - leak is K Z, the coarse solve
-    inverts E = Z^T K Z, and Z has one entry, root_i, per pixel, in tiles
-    of max(4, ceil(max(h, w) / 16), ceil(R / 2)) pixels a side. In
-    row-major tile order E is zero beyond 2 across + 2 bands, which its
-    banded factor relies on; 90 tiles give it 22."""
+    """Against a dense K = I - alpha S = I + K_h + K_h^T: Z - leak is K Z,
+    the coarse solve inverts E = Z^T K Z, and Z has one entry, root_i, per
+    pixel, in tiles of max(4, ceil(max(h, w) / 16), ceil(R / 2)) pixels a
+    side. In row-major tile order E is zero beyond 2 across + 2 bands,
+    which its banded factor relies on; 90 tiles give it 22."""
     a = symmetric_transition(h, w, r, seed=14)
     root = np.sqrt(a.degree)[:, None]
     k = np.eye(a.num_pixels) - 0.99 * root * a.dense() / root.T
-    z, leak, coarse_solve = _tile_space(a, 0.99, root)
+    p, n = a.pattern, a.num_pixels
+    k_h = sp.csr_matrix(sp.coo_matrix(
+        (-0.99 * a.weights / root[p.rows_h, 0] / root[p.cols_h, 0],
+         (p.rows_h, p.cols_h)), shape=(n, n)))
+    z, leak, coarse_solve = _tile_space(p, k_h, root)
     z = z.toarray()
     assert z.shape == (a.num_pixels, tiles)
     np.testing.assert_array_equal(np.count_nonzero(z, 1), 1)
