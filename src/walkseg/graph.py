@@ -314,6 +314,8 @@ def same_label_pairs(labels: np.ndarray,
             f"labels {labels.shape} do not match pattern "
             f"{pattern.height}x{pattern.width}")
     labels = labels.ravel()
+    if labels.dtype.kind in "iu" and 0 <= labels.min() <= labels.max() < 256:
+        labels = labels.astype(np.uint8)  # a smaller gather, same equalities
     return labels.take(pattern.rows_h) == labels.take(pattern.cols_h)
 
 
@@ -377,7 +379,7 @@ class TransitionMatrix:
     def _coo_t(self) -> sp.coo_matrix:
         return self._coo.T
 
-    def wmatvec(self, x: np.ndarray) -> np.ndarray:
+    def _wmatvec(self, x: np.ndarray) -> np.ndarray:
         """W @ x in the symmetric form."""
         return self._coo @ x + self._coo_t @ x
 
@@ -388,18 +390,18 @@ class TransitionMatrix:
             return self._coo @ x
         degree = self.degree if x.ndim == 1 else self.degree[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.wmatvec(x) / degree
+            y = self._wmatvec(x) / degree
             if np.isfinite(y).all() or not np.isfinite(x).all():
                 return y
             scale = np.ldexp(1.0, -np.frexp(np.abs(x).max())[1])  # exact, < 1
-            return self.wmatvec(x * scale) / degree / scale
+            return self._wmatvec(x * scale) / degree / scale
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """A^T @ x, through the kept transpose (no copy)."""
         if not self.symmetric:
             return self._coo_t @ x
         degree = self.degree if x.ndim == 1 else self.degree[:, None]
-        return self.wmatvec(x / degree)
+        return self._wmatvec(x / degree)
 
     def dense(self) -> np.ndarray:
         p, n = self.pattern, self.num_pixels

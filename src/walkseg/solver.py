@@ -15,7 +15,11 @@ argmax is identical. `solve`, the entry point the pipeline uses, and
 `dense_oracle_solve`, the independent reference routes of the tests and
 benchmarks, return the second.
 
-`solve` takes one of two paths:
+`solve` is the one route table, written out in `_solve`, which also
+gives `bench_step_vs_solve` the iteration count. It alone reads
+CG_MIN_ALPHA, DEFLATE_MIN_ALPHA and W's symmetry, and picks one of two
+paths and, for conjugate gradients, the coarse space. `_symmetric_cg`
+deflates with the space it is given and decides nothing else:
 
   * the fixed-point loop y <- alpha A y + (1 - alpha) f. Its max-abs
     change contracts by alpha per sweep, so ||y - y*|| <= alpha / (1 -
@@ -47,9 +51,10 @@ benchmarks, return the second.
     tile p (tiles of t x t pixels, see the rule), hold the slow modes.
     Each start and restart first solves on Z, z += Z u with E u = Z^T r,
     E = Z^T (I - alpha S) Z, built from K_h Z and K_h^T Z, banded and
-    factored once by Cholesky, and residuals are preconditioned by Tang
-    et al. 2009's A-DEF2 operator. z and r stay the original system's,
-    so the stop rule and the bound hold as they are.
+    factored once by Cholesky. Every iteration is then the preconditioned
+    CG step with Tang et al. 2009's A-DEF2 operator, a (re)start being
+    that step with beta = 0. z and r stay the original system's, so the
+    stop rule and the bound hold as they are.
 
 The series of `solve_closed_form` stops when its terms after term t, at
 most alpha / (1 - alpha) max|term_t|, fall below `tolerance`. Errors are
@@ -73,19 +78,27 @@ from .walk import rw_step, _check_scores
 DENSE_PIXEL_LIMIT = 4096
 
 # `solve` uses conjugate gradients at and above this alpha when W is
-# symmetric. Measured on 64x64 oracle scenes at R5, tolerance 1e-6, on a
-# 2-core host (median of 8 scenes x 3 runs; ranges over two repeats),
-# loop against CG: 16-17 against 16-17 ms at alpha 0.5 (14 sweeps, 10-12
-# products), 21-24 against 17-20 ms at 0.6 (18-19 sweeps, 11-13
-# products) and 35 against 24-25 ms at 0.7 (25-27 sweeps, 14-16
-# products). The two tie at 0.5 and CG is ahead from 0.6 on.
+# symmetric. Loop against plain CG on 64x64 scenes at R5, tolerance 1e-6,
+# 2-core host, the pattern's row order built beforehand (per-scene
+# medians of 5 alternating runs, then the median over scenes), in ms:
+#   alpha                    0.4          0.5          0.6          0.7
+#   oracle W (16 scenes)  15.5 / 13.1  24.9 / 19.4  27.7 / 17.6  43.8 / 25.7
+#   learned W (12 scenes) 17.3 / 13.9  21.2 / 14.9  31.1 / 17.2  42.5 / 20.9
+# At 0.4 that is 11 sweeps against 9 products on oracle W. CG was faster
+# on every scene at every alpha here, so the crossover lies below 0.4.
 CG_MIN_ALPHA = 0.6
 
-# CG is deflated by tiles from this alpha on. Against plain CG it took
-# 1.21-1.25x the time at alpha 0.9, 1.02-1.18x at 0.95, 0.92-0.99x at
-# 0.97, 0.88x at 0.98 and 0.79x at 0.99 (products 68.5 -> 37): medians of
-# 5-7 interleaved runs on 10 held-out 64x64 oracle scenes (synth index
-# 100-109, seed 1), R5, tolerance 1e-6, 2-core host, two repeats.
+# CG is deflated by tiles from this alpha on. Plain against deflated CG,
+# same set-up, in ms (scenes where deflated CG was faster):
+#   alpha             0.6        0.7        0.9        0.95       0.97
+#   oracle W      17.6/25.7  25.7/30.5  46.8/51.7  56.3/48.2  58.2/53.9
+#                   (0/16)     (0/16)     (0/16)     (8/16)    (10/16)
+#   learned W     17.2/19.3  20.9/20.3  35.7/22.3  58.4/26.1  68.1/27.4
+#                   (0/12)     (8/12)    (12/12)    (12/12)    (12/12)
+# At 0.99, 95.8/71.1 ms on oracle W (products 69 -> 37) and 90.4/26.1 on
+# learned W (61 -> 12). So this value fits oracle W, while on learned W
+# deflation pays from 0.7 on. Its fixed cost at 64x64 is about 6 ms of
+# `_tile_space` plus 0.3 ms of preconditioning per iteration.
 DEFLATE_MIN_ALPHA = 0.97
 # Tiles are t x t, t = max(4, ceil(max(h, w) / 16), ceil(R / 2)), so that
 # p <= 256 and each pixel's neighbors lie within 5 x 5 tiles, which
@@ -160,21 +173,18 @@ def _tile_space(pattern: SparsityPattern, k_h: sp.csr_matrix,
 
 
 def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
-                  coarse_space=_tile_space):
+                  coarse_space):
     """Block conjugate gradients on (I - alpha S) z = D^1/2 f, one column
-    per class with its own step and beta, stopped as the module docstring
-    says. Returns y = (1 - alpha) D^-1/2 z and a report dict: the
-    `products` with S, the `iterations`, the `restarts`, the final error
-    `bound` and the coarse space's `tiles` p (0 without one).
-
-    K = I - alpha S is I + K_h + K_h^T, K_h = -alpha D^-1/2 W_h D^-1/2
-    its strict upper triangle, formed once per solve as CSR in the
-    pattern's `row_order`. The same three arrays read as CSC are K_h^T,
-    so K x is one CSR and one CSC pass, added onto a copy of x. From
-    `DEFLATE_MIN_ALPHA` on, `coarse_space(pattern, K_h, root)` gives
-    (Z, Z - KZ, x -> E^-1 x), see `_tile_space`, or None turns it off.
-    `transition` gives a row without neighbors degree 1, so S is zero
-    there and y = (1 - alpha) f, as in the loop.
+    per class with its own step and beta, with K = I - alpha S applied and
+    stopped as the module docstring says. Returns y = (1 - alpha) D^-1/2 z
+    and a report dict: the `products` with S, the `iterations`, the
+    `restarts`, the final error `bound` and the coarse space's `tiles` p
+    (0 without one). `coarse_space(pattern, K_h, root)` gives (Z, Z - KZ,
+    x -> E^-1 x), see `_tile_space`; None runs plain CG. Every step
+    preconditions by A-DEF2, s = r + Z E^-1 (Z - KZ)^T r, and a (re)start
+    is that step with beta = 0, after z += Z u. `transition` gives a row
+    without neighbors degree 1, so S is zero there and y = (1 - alpha) f,
+    as in the loop.
     """
     f = _check_scores(a, f)
     alpha, n = cfg.alpha, a.num_pixels
@@ -194,18 +204,13 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
                     kx)
         return kx
 
-    report = dict(products=0, iterations=0, restarts=0, bound=0.0)
-    coarse = (alpha >= DEFLATE_MIN_ALPHA and coarse_space
-              and coarse_space(a.pattern, k_h, root))
-    z_c, leak, coarse_solve = coarse or (None, None, None)
-    report["tiles"] = z_c.shape[1] if coarse else 0
-
-    def precondition(x):  # A-DEF2: I - Z E^-1 (KZ)^T + Z E^-1 Z^T
-        return x + z_c @ coarse_solve(leak.T @ x) if coarse else x
-
+    report = dict(products=0, iterations=0, restarts=0, bound=0.0, tiles=0)
+    if coarse_space:
+        z_c, leak, coarse_solve = coarse_space(a.pattern, k_h, root)
+        report["tiles"] = z_c.shape[1]
     b = root * f
     z = b / (1.0 - alpha)  # y = f, the loop's starting point
-    r, recomputed = b - apply(z), True
+    r, recomputed, rr = b - apply(z), True, None
     while True:
         # the bound on y's error, from the module docstring
         report["bound"] = float(np.abs(inv_root * r).max()) if r.size else 0.0
@@ -221,15 +226,13 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
                 residual=report["bound"], iterations=report["iterations"])
         if recomputed:  # start, or restart, from the recomputed residual
             report["restarts"] += report["iterations"] > 0
-            if coarse:  # solve on Z first, so that Z^T r = 0
+            if coarse_space:  # solve on Z first, so that Z^T r = 0
                 u = coarse_solve(z_c.T @ r)
                 z, r = z + z_c @ u, r - z_c @ u + leak @ u
-            p = precondition(r)
-            rr = np.einsum("ij,ij->j", r, p)
-        else:
-            s = precondition(r)
-            rr, rr_prev = np.einsum("ij,ij->j", r, s), rr
-            p = s + (rr / np.where(rr_prev > 0.0, rr_prev, 1.0)) * p
+        s = r + z_c @ coarse_solve(leak.T @ r) if coarse_space else r
+        rr, rr_prev = np.einsum("ij,ij->j", r, s), rr
+        p = s if recomputed else s + (
+            rr / np.where(rr_prev > 0.0, rr_prev, 1.0)) * p
         q = apply(p)
         pq = np.einsum("ij,ij->j", p, q)
         step = rr / np.where(pq > 0.0, pq, 1.0)
@@ -276,14 +279,20 @@ def dense_oracle_solve(a: TransitionMatrix, f: np.ndarray,
 
 
 def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """The damped fixed point (1 - alpha) (I - alpha A)^-1 f, by conjugate
-    gradients when alpha >= CG_MIN_ALPHA and W is exactly symmetric, and
-    by the fixed-point loop otherwise."""
+    """The damped fixed point (1 - alpha) (I - alpha A)^-1 f: by the loop
+    below CG_MIN_ALPHA or where W is not exactly symmetric, else by
+    conjugate gradients, deflated by tiles from DEFLATE_MIN_ALPHA on."""
+    return _solve(a, f, cfg)[0]
+
+
+def _solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig):
+    """`solve`'s route table; returns (y, iterations)."""
     cfg.validate()
-    if cfg.alpha >= CG_MIN_ALPHA and a.symmetric:
-        return _symmetric_cg(a, f, cfg)[0]
-    y, _ = diffuse_to_convergence(a, f, cfg)
-    return y
+    if cfg.alpha < CG_MIN_ALPHA or not a.symmetric:
+        return diffuse_to_convergence(a, f, cfg)
+    y, report = _symmetric_cg(a, f, cfg, _tile_space
+                              if cfg.alpha >= DEFLATE_MIN_ALPHA else None)
+    return y, report["iterations"]
 
 
 @dataclass
@@ -323,7 +332,8 @@ def _median_time(fn, repeats: int) -> float:
 
 def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
                         repeats: int = 9) -> BenchReport:
-    """Wall-clock one sparse step vs the converged solve vs the dense solve.
+    """Wall-clock one sparse step vs the converged solve, by the route
+    `solve` takes, vs the dense solve.
 
     One row per (h, w) in `sizes`, on uniform random affinities, one per
     pixel pair as the model and the oracle give them, and 3 random score
@@ -346,7 +356,7 @@ def bench_step_vs_solve(sizes, radius: int, cfg: SolverConfig,
         a.matvec(f)  # build A's sparse matrix before timing
         step_ms = _median_time(lambda: a.matvec(f), repeats)
         begin = time.perf_counter()
-        _, iters = diffuse_to_convergence(a, f, cfg)
+        _, iters = _solve(a, f, cfg)
         solve_ms = (time.perf_counter() - begin) * 1e3
         if pattern.num_pixels <= DENSE_PIXEL_LIMIT:
             dense_ms = _median_time(

@@ -19,7 +19,8 @@ from walkseg.graph import (_build_sparsity, affinity_forward,
                            affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
                            ground_truth_affinity, learned_affinity,
-                           pair_affinity_backward, transition)
+                           pair_affinity_backward, same_label_pairs,
+                           transition)
 from walkseg.training import softmax_loss_grad, unary_forward, init_unary
 from walkseg.walk import rw_backward_a, rw_backward_pairs, rw_step
 
@@ -512,6 +513,34 @@ def test_targets_equal_the_per_edge_label_comparison(height, width, radius):
     np.testing.assert_array_equal(targets, expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 8),
+       low=st.sampled_from([-256, -1, 0, 255]),
+       stride=st.sampled_from([1, 128, 256]), small=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, low=0, stride=1, small=False, seed=0)  # no pairs
+@example(h=3, w=4, r=8, low=0, stride=256, small=False, seed=1)
+@example(h=5, w=2, r=6, low=-1, stride=1, small=False, seed=2)
+@example(h=4, w=4, r=2, low=255, stride=1, small=False, seed=3)
+@example(h=6, w=1, r=3, low=0, stride=128, small=True, seed=4)
+def test_same_label_pairs_compares_the_labels_of_each_pair(h, w, r, low,
+                                                           stride, small,
+                                                           seed):
+    """Label maps that fit in uint8 are gathered as uint8; the result is
+    the pairwise comparison of the labels as given, for int64 and uint8
+    maps, negative labels, labels from 256 on (0, 256 and 512 must stay
+    apart), a 1 x 1 grid and a radius beyond the image."""
+    labels = low + stride * np.random.default_rng(seed).integers(0, 3, (h, w))
+    if small:
+        labels = (labels % 256).astype(np.uint8)
+    pattern = build_sparsity(h, w, r)
+    flat = labels.ravel()
+    same = same_label_pairs(labels, pattern)
+    assert same.dtype == bool
+    np.testing.assert_array_equal(
+        same, flat[pattern.rows_h] == flat[pattern.cols_h])
+
+
 def test_uniform_labels_give_all_one_targets():
     pattern = build_sparsity(3, 3, 1)
     targets = ground_truth_affinity(np.zeros((3, 3), dtype=int), pattern)
@@ -736,7 +765,7 @@ def test_transition_memory_at_paper_radius():
     tracemalloc.start()
     try:
         a = transition(pattern, pairs)
-        a.matvec(x), a.rmatvec(x), a.wmatvec(x)
+        a.matvec(x), a.rmatvec(x)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

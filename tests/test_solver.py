@@ -223,7 +223,8 @@ def test_solve_error_is_bounded_by_tolerance(h, w, r, alpha, m, seed, scale,
     error = np.max(np.abs(solve(a, f, cfg) - exact))
     assert error < cfg.tolerance
     if alpha >= CG_MIN_ALPHA and symmetric:
-        assert error <= _symmetric_cg(a, f, cfg)[1]["bound"] + 1e-12
+        space = _tile_space if alpha >= DEFLATE_MIN_ALPHA else None
+        assert error <= _symmetric_cg(a, f, cfg, space)[1]["bound"] + 1e-12
     if alpha <= 0.99:  # both take about log(tolerance) / log(alpha) products
         y, _ = diffuse_to_convergence(a, f, cfg)
         assert np.max(np.abs(y - exact)) < cfg.tolerance
@@ -250,6 +251,56 @@ def test_solve_through_the_csr_form_of_s_matches_dense(h, w, r, alpha, seed):
     cfg = SolverConfig(alpha=alpha)
     exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
     assert np.max(np.abs(solve(a, f, cfg) - exact)) < cfg.tolerance
+
+
+def spy_on_conjugate_gradients(monkeypatch):
+    """Wrap `solver._symmetric_cg` so that each call's report is kept."""
+    reports, cg = [], solver._symmetric_cg
+
+    def spy(*args, **kwargs):
+        y, report = cg(*args, **kwargs)
+        reports.append(report)
+        return y, report
+    monkeypatch.setattr(solver, "_symmetric_cg", spy)
+    return reports
+
+
+def test_solve_is_the_route_table(monkeypatch):
+    """Through `solve` only: the loop just below CG_MIN_ALPHA and on
+    per-edge W at any alpha, plain conjugate gradients from CG_MIN_ALPHA
+    to just below DEFLATE_MIN_ALPHA, and tile-deflated ones from it on."""
+    reports = spy_on_conjugate_gradients(monkeypatch)
+    pair = symmetric_transition(8, 8, 2, seed=15)
+    edge = symmetric_transition(8, 8, 2, seed=15, symmetric=False)
+    f = np.random.default_rng(15).standard_normal((64, 3))
+    cases = [(pair, np.nextafter(CG_MIN_ALPHA, 0.0), None),
+             (pair, CG_MIN_ALPHA, False),
+             (pair, np.nextafter(DEFLATE_MIN_ALPHA, 0.0), False),
+             (pair, DEFLATE_MIN_ALPHA, True), (pair, 0.99, True),
+             (edge, CG_MIN_ALPHA, None), (edge, DEFLATE_MIN_ALPHA, None)]
+    for a, alpha, deflated in cases:
+        reports.clear()
+        cfg = SolverConfig(alpha=float(alpha))
+        y = solve(a, f, cfg)
+        if deflated is None:
+            assert reports == []
+            np.testing.assert_array_equal(
+                y, diffuse_to_convergence(a, f, cfg)[0])
+        else:
+            assert len(reports) == 1
+            assert (reports[0]["tiles"] > 0) == deflated
+
+
+def test_bench_times_the_route_solve_takes(monkeypatch):
+    """At alpha 0.99 `walkseg bench` times deflated conjugate gradients,
+    which `solve` runs on its per-pair W, and reports their iterations,
+    not the loop's sweeps."""
+    reports = spy_on_conjugate_gradients(monkeypatch)
+    bench = bench_step_vs_solve([(8, 8), (12, 12)], radius=2,
+                                cfg=SolverConfig(alpha=0.99), repeats=1)
+    assert [row.iters for row in bench.rows] == [
+        report["iterations"] for report in reports]
+    assert all(report["tiles"] > 0 for report in reports)
 
 
 def test_asymmetric_affinities_keep_the_loop():
@@ -286,13 +337,13 @@ def test_oracle_scene_at_large_alpha_meets_tolerance(monkeypatch):
     monkeypatch.setattr(solver, "csr_matvecs",
                         lambda *args: products.append(1) or csr_matvecs(*args))
     cfg = SolverConfig(alpha=0.99, tolerance=1e-13)
-    y, report = _symmetric_cg(a, damaged, cfg)
+    y, report = _symmetric_cg(a, damaged, cfg, _tile_space)
     assert report["products"] == len(products)
     assert report["restarts"] >= 1 and report["bound"] < cfg.tolerance
     assert np.max(np.abs(y - exact)) <= 1e-9
     products.clear()
     cfg = SolverConfig(alpha=0.99)
-    y, report = _symmetric_cg(a, damaged, cfg)
+    y, report = _symmetric_cg(a, damaged, cfg, _tile_space)
     assert report["products"] == len(products)
     monkeypatch.undo()
     np.testing.assert_array_equal(solve(a, damaged, cfg), y)
@@ -313,7 +364,7 @@ def test_deflation_cuts_products_on_an_oracle_scene():
     exact = (1.0 - 0.99) * dense_oracle_solve(a, damaged, 0.99)
     cfg = SolverConfig(alpha=0.99)
     assert cfg.alpha >= DEFLATE_MIN_ALPHA
-    y, report = _symmetric_cg(a, damaged, cfg)
+    y, report = _symmetric_cg(a, damaged, cfg, _tile_space)
     y_plain, plain = _symmetric_cg(a, damaged, cfg, coarse_space=None)
     assert report["tiles"] == 64 and plain["tiles"] == 0
     assert report["products"] <= 0.65 * plain["products"]
