@@ -48,7 +48,7 @@ deflates with the space it is given and decides nothing else:
     From alpha DEFLATE_MIN_ALPHA on, CG is deflated (Nicolaides 1987). S
     has about one eigenvalue >= 0.99 per segment, near D^1/2 times a
     piecewise-constant vector, so p tile aggregates Z_ip = D_i^1/2, i in
-    tile p (tiles of t x t pixels, see the rule), hold the slow modes.
+    tile p (t x t pixels, see `_tile_space`), hold the slow modes.
     Each start and restart first solves on Z, z += Z u with E u = Z^T r,
     E = Z^T (I - alpha S) Z, built from K_h Z and K_h^T Z, banded and
     factored once by Cholesky. Every iteration is then the preconditioned
@@ -79,14 +79,18 @@ DENSE_PIXEL_LIMIT = 4096
 
 # `solve` uses conjugate gradients at and above this alpha when W is
 # symmetric. Loop against plain CG on 64x64 scenes at R5, tolerance 1e-6,
-# 2-core host, the pattern's row order built beforehand (per-scene
-# medians of 5 alternating runs, then the median over scenes), in ms:
-#   alpha                    0.4          0.5          0.6          0.7
-#   oracle W (16 scenes)  15.5 / 13.1  24.9 / 19.4  27.7 / 17.6  43.8 / 25.7
-#   learned W (12 scenes) 17.3 / 13.9  21.2 / 14.9  31.1 / 17.2  42.5 / 20.9
-# At 0.4 that is 11 sweeps against 9 products on oracle W. CG was faster
-# on every scene at every alpha here, so the crossover lies below 0.4.
-CG_MIN_ALPHA = 0.6
+# 2-core host (per-scene medians of 5 alternating runs, then the median
+# over scenes), in ms: loop / CG with the pattern's row order built
+# beforehand, as in-process callers reuse it / CG with its build counted,
+# as one `walkseg infer` request pays it:
+#   alpha              0.3             0.4             0.5             0.6
+#   oracle W (16)  9.7/9.0/10.9  12.0/10.0/12.2  15.2/11.7/13.7  22.4/16.2/17.6
+#   learned W (12) 11.4/9.3/11.6 15.0/11.8/13.9  27.2/17.2/20.2  27.3/16.3/17.3
+# With the build counted, CG was faster on 0/16 oracle and 2/12 learned
+# scenes at 0.3, 6/16 and 12/12 at 0.4 and 16/16 and 12/12 at 0.5 (13/16
+# and 12/12 in a second run). At 0.5 that is 14 sweeps against 11
+# products on oracle W.
+CG_MIN_ALPHA = 0.5
 
 # CG is deflated by tiles from this alpha on. Plain against deflated CG,
 # same set-up, in ms (scenes where deflated CG was faster):
@@ -100,11 +104,6 @@ CG_MIN_ALPHA = 0.6
 # deflation pays from 0.7 on. Its fixed cost at 64x64 is about 6 ms of
 # `_tile_space` plus 0.3 ms of preconditioning per iteration.
 DEFLATE_MIN_ALPHA = 0.97
-# Tiles are t x t, t = max(4, ceil(max(h, w) / 16), ceil(R / 2)), so that
-# p <= 256 and each pixel's neighbors lie within 5 x 5 tiles, which
-# bounds E's band. The rule was measured at 64x64 only: there 4 x 4 tiles
-# took the 37 products above and 8 x 8 took 47. At 375x500 it gives 192
-# tiles of 32 x 32.
 
 
 @dataclass
@@ -155,17 +154,37 @@ def _tile_space(pattern: SparsityPattern, k_h: sp.csr_matrix,
                 root: np.ndarray):
     """Z (Z_ip = root_i for pixel i in tile p), Z - KZ and x -> E^-1 x,
     E = Z^T K Z, for K = I + K_h + K_h^T. Z - KZ = -(K_h Z + K_h^T Z),
-    one sparse product each way. Neighbors lie within two tiles per
-    axis, so E, in row-major tile order, is zero beyond its 2 across + 2
-    bands: one banded Cholesky factor solves it."""
-    side = max(4, -(-max(pattern.height, pattern.width) // 16),
-               -(-pattern.radius // 2))
+    one sparse product each way.
+
+    Tiles are t x t pixels, t = max(4, ceil(R / 2)), whatever the image
+    size: small aggregates hold the slow, piecewise-constant modes. Each
+    pixel's neighbors then lie within two tiles per axis, so E, in
+    row-major tile order, is zero beyond min(2, down - 1) across + 2
+    bands, and one banded Cholesky factor solves it. At 64x64, R5,
+    alpha 0.99 4 x 4 tiles took 37 products and 8 x 8 tiles 47 (oracle
+    W). Tiles that grow with the image lose more: a term ceil(max(h, w)
+    / 16), which kept p <= 256, made 32 x 32 tiles at 375x500. Against
+    it, at R5, tolerance 1e-6 (medians over scenes of 3 fresh-process
+    runs, 2-core host), products and solve times went, with equal labels:
+
+      alpha 0.99   oracle W                    learned W
+      128x128      53.5 -> 39, 269 -> 234 ms   18 -> 12, 118 -> 95 ms
+      256x256      83 -> 51, 1.55 -> 1.19 s    31 -> 13, 0.69 -> 0.42 s
+      375x500      81 -> 40, 4.34 -> 3.13 s    52 -> 13, 3.21 -> 1.40 s
+
+    At 375x500 that is 11,750 tiles. The set-up takes 0.22-0.26 s
+    against 0.07-0.08 s, and peak RSS rose 25-40 MB: E's factor, (2
+    across + 3) p doubles or about n w / 4 bytes, holds 23.8 MB. On one
+    tile row a band of p - 1 would be dense: at 4x4000 the 2 bands took
+    49 ms and 6 MB of RSS against 136 ms and 26.5 MB."""
+    side = max(4, -(-pattern.radius // 2))
     down, across = -(-pattern.height // side), -(-pattern.width // side)
     y, x = np.divmod(np.arange(pattern.num_pixels), pattern.width)
     z = sp.csr_matrix((root[:, 0], y // side * across + x // side,
                        np.arange(y.size + 1)), shape=(y.size, down * across))
     leak = -(k_h @ z + k_h.T @ z)
-    e, bands = z.T @ (z - leak), min(2 * across + 2, down * across - 1)
+    e = z.T @ (z - leak)
+    bands = min(min(2, down - 1) * across + 2, down * across - 1)
     # E's upper band, its k-th diagonal in row bands - k
     factor = cholesky_banded([np.pad(e.diagonal(k), (k, 0))
                               for k in range(bands, -1, -1)])

@@ -19,6 +19,8 @@ def _check_scores(a: TransitionMatrix, f: np.ndarray) -> np.ndarray:
     if f.ndim != 2 or f.shape[0] != a.num_pixels:
         raise InvalidInputError(
             f"scores {f.shape} do not match {a.num_pixels} pixels")
+    if not np.isfinite(f).all():
+        raise InvalidInputError("non-finite class scores")
     return f
 
 

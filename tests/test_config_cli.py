@@ -465,6 +465,27 @@ def test_damaged_input_file_is_a_data_error(clean_inputs, target, at, byte):
         assert err.getvalue().count("\n") == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("alpha", ["0.01", "0.7", "0.99"])
+def test_non_finite_class_scores_are_a_data_error(tmp_path, alpha, capsys):
+    """A checkpoint of finite values whose classifier weights overflow the
+    class scores makes `infer` exit 2 with one error line on each solver
+    route: the loop, plain and deflated conjugate gradients."""
+    rng = np.random.default_rng(4)
+    pnm.write_ppm(tmp_path / "img.ppm", rng.uniform(0, 1, (16, 16, 3)))
+    save_checkpoint(tmp_path / "model.ckpt", ModelCheckpoint(
+        rng.normal(0, 0.1, 5), UnaryParams(np.full((5, 5), 1e308),
+                                           np.zeros(5)),
+        FilterBankConfig(f1=1, f2=1, seed=3), 5))
+    code = main(["infer", "--checkpoint", str(tmp_path / "model.ckpt"),
+                 "--image", str(tmp_path / "img.ppm"),
+                 "--out-labels", str(tmp_path / "out.pgm"),
+                 "--radius", "2", "--alpha", alpha])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: non-finite class scores\n"
+
+
 def test_train_missing_manifest_entry(smoke_workspace, tmp_path):
     root, data, _, _, overrides = smoke_workspace
     manifest = tmp_path / "broken.txt"

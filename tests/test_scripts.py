@@ -2,11 +2,15 @@
 argument list they pass must parse."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import walkseg
 from walkseg import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -37,3 +41,26 @@ def test_script_flags_parse(name, commands, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", [name, str(tmp_path)])
     assert script.main() == 0
     assert [args.command for args in parsed] == commands
+
+
+def test_paper_size_measurement_runs_small():
+    """At 24x24 the paper-size script prints one JSON line per case, each
+    with its stage times and peak memory, and conjugate gradients' report
+    where they run (alpha 0.99)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(walkseg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "measure_paper_size.py"),
+         "--size", "24x24"], check=True, stdout=subprocess.PIPE, text=True,
+        env=env, timeout=120).stdout
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line["case"] for line in lines] == [
+        "labels", "probs", "alpha", "oracle"]
+    for line in lines:
+        assert line["size"] == "24x24" and line["ru_maxrss_mb"] > 0
+        assert set(line["stages_s"]) == {
+            "features", "pattern", "affinities", "transition", "solve"}
+        assert 0 < line["stages_s"]["solve"] <= line["total_s"]
+        assert ("cg" in line) == (line["alpha"] == 0.99)
+    assert lines[0]["labels_sha256"] == lines[1]["labels_sha256"]
+    assert lines[2]["cg"]["tiles"] == lines[3]["cg"]["tiles"] == 36
+    assert lines[3]["stages_s"]["features"] == 0.0

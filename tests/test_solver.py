@@ -303,6 +303,24 @@ def test_bench_times_the_route_solve_takes(monkeypatch):
     assert all(report["tiles"] > 0 for report in reports)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_scores_are_rejected_on_every_route(monkeypatch, bad):
+    """One non-finite score is bad input: `solve` raises InvalidInputError
+    before any product on the loop, plain and deflated conjugate gradient
+    routes, instead of running out of iterations or failing inside
+    scipy's banded solve."""
+    products = []
+    for name in ("rw_step", "csr_matvecs"):
+        monkeypatch.setattr(solver, name, lambda *args: products.append(1))
+    a = symmetric_transition(8, 8, 2, seed=16)
+    f = np.random.default_rng(16).standard_normal((64, 3))
+    f[17, 1] = bad
+    for alpha in (0.01, CG_MIN_ALPHA, DEFLATE_MIN_ALPHA):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            solve(a, f, SolverConfig(alpha=alpha))
+    assert products == []
+
+
 def test_asymmetric_affinities_keep_the_loop():
     a, w = random_transition(3, 3, 1, seed=12)
     half = a.pattern.num_edges // 2
@@ -356,8 +374,8 @@ def test_oracle_scene_at_large_alpha_meets_tolerance(monkeypatch):
 def test_deflation_cuts_products_on_an_oracle_scene():
     """At alpha 0.99 the tile coarse space takes the 32 x 32 oracle scene's
     slow modes out of the solve: it needs at most 0.65 times the products
-    of the loop without it, and lands as close to the dense solve with
-    the same labels."""
+    of plain conjugate gradients, and lands as close to the dense solve
+    with the same labels."""
     (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
     damaged, _ = oracle_scene(labels, CorruptionConfig(seed=0), 4)
     a = oracle_transition(labels, 5)
@@ -375,13 +393,15 @@ def test_deflation_cuts_products_on_an_oracle_scene():
 
 @pytest.mark.parametrize("h, w, r, tiles", [(12, 13, 5, 12), (20, 20, 9, 16),
                                            (3, 2, 1, 1), (1, 13, 3, 4),
-                                           (36, 40, 3, 90)])
+                                           (36, 40, 3, 90), (12, 100, 3, 75),
+                                           (3, 100, 3, 25), (6, 24, 3, 12)])
 def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
     """Against a dense K = I - alpha S = I + K_h + K_h^T: Z - leak is K Z,
     the coarse solve inverts E = Z^T K Z, and Z has one entry, root_i, per
-    pixel, in tiles of max(4, ceil(max(h, w) / 16), ceil(R / 2)) pixels a
-    side. In row-major tile order E is zero beyond 2 across + 2 bands,
-    which its banded factor relies on; 90 tiles give it 22."""
+    pixel, in tiles of max(4, ceil(R / 2)) pixels a side, whatever the
+    image size. In row-major tile order E is zero beyond min(2, down - 1)
+    across + 2 bands, which its banded factor relies on: 90 tiles give it
+    22, one row of 25 tiles 2 and two rows of 6 tiles 8."""
     a = symmetric_transition(h, w, r, seed=14)
     root = np.sqrt(a.degree)[:, None]
     k = np.eye(a.num_pixels) - 0.99 * root * a.dense() / root.T
@@ -396,8 +416,8 @@ def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
     np.testing.assert_array_equal(z.sum(1), root[:, 0])
     np.testing.assert_allclose(z - leak.toarray(), k @ z, atol=1e-12)
     e = z.T @ k @ z
-    side = max(4, -(-max(h, w) // 16), -(-r // 2))
-    bands = 2 * -(-w // side) + 2
+    side = max(4, -(-r // 2))
+    bands = min(2, -(-h // side) - 1) * -(-w // side) + 2
     np.testing.assert_array_equal(np.triu(e, bands + 1), 0.0)
     np.testing.assert_array_equal(np.tril(e, -bands - 1), 0.0)
     np.testing.assert_allclose(coarse_solve(e), np.eye(tiles), atol=1e-9)
