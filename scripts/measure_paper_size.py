@@ -14,7 +14,11 @@ A line holds each stage's wall time in seconds (features, pattern,
 affinities, transition, solve), the whole case's, `ru_maxrss` in MB and
 the SHA-256 of the label map. Where conjugate gradients run it also holds
 their report (products with S, iterations, restarts, tiles) and the
-coarse space's set-up time, which the solve time includes. Without
+coarse space's set-up time, which the solve time includes. The requests
+without `--out-probs` take the labels route: its local affinities count
+as affinities and its certificates as the solve, and `certified` holds
+the pixels certified by the scores and after the local sweep, and those
+left to the full route. Without
 `--checkpoint`, a 131-channel checkpoint is trained first by the brief
 recipe of perfbench's `infer` workload, at seed 11.
 
@@ -49,8 +53,9 @@ RECIPE = dict(learning_rate=0.1, batch_size=1, iterations=30, train_radius=2,
 TRAIN_SCENES = (synth.SceneSpec(24, 24, seed=11), 12, 64)
 STAGES = {"prepare_stack": "features", "unary_forward": "features",
           "build_sparsity": "pattern", "learned_affinity": "affinities",
+          "neighbor_affinity": "affinities",
           "oracle_affinity": "affinities", "transition": "transition",
-          "solve": "solve"}
+          "certify_labels": "solve", "solve": "solve"}
 
 
 def size(text):
@@ -81,8 +86,8 @@ def parse_args(argv):
 
 
 def instrument():
-    """Time each pipeline stage and keep conjugate gradients' reports.
-    Returns the dict the wrappers fill."""
+    """Time each pipeline stage and keep conjugate gradients' reports and
+    the labels route's counts. Returns the dict the wrappers fill."""
     found = {"stages_s": {stage: 0.0 for stage in STAGES.values()}}
 
     def timed(fn, add):
@@ -99,6 +104,13 @@ def instrument():
             found["stages_s"][stage] += seconds
         setattr(pipeline, name, timed(getattr(pipeline, name), add))
     cg, tiles = solver._symmetric_cg, solver._tile_space
+    labels_route = cli.predict_labels
+
+    def predict_labels(*args, **kwargs):
+        labels, counts = labels_route(*args, **kwargs)
+        found["certified"] = counts
+        return labels, counts
+    cli.predict_labels = predict_labels
 
     def symmetric_cg(*args):
         y, report = cg(*args)

@@ -21,7 +21,7 @@ from . import metrics, pnm, synth
 from .errors import (ConvergenceError, DataFormatError, DivergenceError,
                      InvalidInputError)
 from .pipeline import (argmax_labels, diffuse, oracle_scene,
-                       oracle_transition, predict)
+                       oracle_transition, predict, predict_labels)
 from .solver import bench_step_vs_solve
 from .training import load_checkpoint, save_checkpoint, softmax, train
 
@@ -175,9 +175,13 @@ def cmd_infer(args) -> int:
     alpha = args.alpha if args.alpha is not None else cfg.solver.alpha
     solver_cfg = dataclasses.replace(cfg.solver, alpha=alpha)
     radius = args.radius if args.radius is not None else cfg.infer.radius
-    labels, scores = predict(ckpt, image, steps=args.steps, radius=radius,
-                             solver_cfg=solver_cfg,
-                             dump_prefix=args.dump_affinity)
+    if args.out_probs or args.dump_affinity:
+        labels, scores = predict(ckpt, image, steps=args.steps, radius=radius,
+                                 solver_cfg=solver_cfg,
+                                 dump_prefix=args.dump_affinity)
+    else:
+        labels, _ = predict_labels(ckpt, image, steps=args.steps,
+                                   radius=radius, solver_cfg=solver_cfg)
     pnm.write_pgm(args.out_labels, labels)
     if args.out_probs:
         with open(args.out_probs, "wb") as fh:

@@ -15,13 +15,15 @@ form one block min(S[window], S[window + o]) of at most h*w rows,
 sliced from the (h, w, k) feature stack S. As |a - b| = a + b -
 2 min(a, b), the head's theta . |S_i - S_j| is u_i + u_j - 2 theta .
 min(S_i, S_j) with u = S theta, so no distance is formed. One
-enumeration of the offsets > (0, 0) lists the pairs (p, p + o) block by
-block and plans the head's runs: windows of more than `_RUN_EDGES` pairs
-are cut into bands of whole rows, and consecutive blocks grouped into
-runs of at most that many (1 MiB of minima at k = 131), which
-`learned_affinity` and its backward pass work through. The backward
-needs only each pair's weight g = W_ij dW_ij + W_ji dW_ji; training
-takes dW's pair sums from `walk.rw_backward_pairs`.
+enumeration of the offsets > (0, 0), `neighbor_offsets`, lists the pairs
+(p, p + o) block by block and plans the head's runs: windows of more
+than `_RUN_EDGES` pairs are cut into bands of whole rows, and
+consecutive blocks grouped into runs of at most that many (1 MiB of
+minima at k = 131), which `learned_affinity` and its backward pass work
+through. The backward needs only each pair's weight g = W_ij dW_ij +
+W_ji dW_ji; training takes dW's pair sums from `walk.rw_backward_pairs`.
+Where only a few pixels need their rows of W, `neighbor_affinity`
+gathers their pairs from the same offsets, without the pattern.
 
 `TransitionMatrix` applies W = W_h + W_h^T through one scipy COO matrix
 W_h over the pairs and its kept transpose. The directed edges (the
@@ -43,6 +45,8 @@ from .errors import InvalidInputError
 # a run of minima holds at most this many edges (1 MiB of float64 at
 # 131 channels), unless a single grid row holds more (see `SparsityPattern`)
 _RUN_EDGES = 1000
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -140,17 +144,30 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
-    """Enumerate all pixel pairs within Euclidean distance `radius` of
-    each other; self-pairs are never included. Deterministic.
-
-    The last few patterns are memoised: equal arguments return the same
-    object, whose arrays are read-only.
-    """
+def neighbor_offsets(height: int, width: int, radius: int) -> np.ndarray:
+    """The offsets o = (dy, dx) > (0, 0) within Euclidean distance
+    `radius` that fit on a height x width grid, ascending, as an (r, 2)
+    array: `build_sparsity` joins each pixel p to p + o and p - o for
+    every o, where those lie on the grid."""
     if height < 1 or width < 1:
         raise InvalidInputError(f"bad grid {height}x{width}")
     if radius < 1:
         raise InvalidInputError(f"radius must be >= 1, got {radius}")
+    span_y, span_x = min(int(radius), height - 1), min(int(radius), width - 1)
+    return np.array([(dy, dx) for dy in range(span_y + 1)
+                     for dx in range(-span_x if dy else 1, span_x + 1)
+                     if dy * dy + dx * dx <= radius * radius],
+                    dtype=np.intp).reshape(-1, 2)
+
+
+def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
+    """Enumerate all pixel pairs within Euclidean distance `radius` of
+    each other (`neighbor_offsets`); self-pairs are never included.
+    Deterministic.
+
+    The last few patterns are memoised: equal arguments return the same
+    object, whose arrays are read-only.
+    """
     return _build_sparsity(int(height), int(width), radius)
 
 
@@ -158,28 +175,24 @@ def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
 def _build_sparsity(height, width, radius):
     pixels = np.arange(height * width, dtype=np.int64).reshape(height, width)
     blocks, runs, srcs, dsts = [], [], [], []
-    span_y, span_x = min(int(radius), height - 1), min(int(radius), width - 1)
-    for dy in range(span_y + 1):
-        for dx in range(-span_x if dy else 1, span_x + 1):
-            if dy * dy + dx * dx > radius * radius:
-                continue
-            # pixel (y, x) of the window has the neighbor (y + dy, x + dx)
-            x0, x1 = max(0, -dx), width - max(0, dx)
-            step = max(1, _RUN_EDGES // (x1 - x0))
-            for y0 in range(0, height - dy, step):
-                y1 = min(y0 + step, height - dy)
-                start = blocks[-1].stop if blocks else 0
-                block = OffsetBlock(
-                    (slice(y0, y1), slice(x0, x1)),
-                    (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
-                    start, start + (y1 - y0) * (x1 - x0))
-                if runs and block.stop - runs[-1][0].start <= _RUN_EDGES:
-                    runs[-1].append(block)
-                else:
-                    runs.append([block])
-                blocks.append(block)
-                srcs.append(pixels[block.src].ravel())
-                dsts.append(pixels[block.dst].ravel())
+    for dy, dx in neighbor_offsets(height, width, radius).tolist():
+        # pixel (y, x) of the window has the neighbor (y + dy, x + dx)
+        x0, x1 = max(0, -dx), width - max(0, dx)
+        step = max(1, _RUN_EDGES // (x1 - x0))
+        for y0 in range(0, height - dy, step):
+            y1 = min(y0 + step, height - dy)
+            start = blocks[-1].stop if blocks else 0
+            block = OffsetBlock(
+                (slice(y0, y1), slice(x0, x1)),
+                (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
+                start, start + (y1 - y0) * (x1 - x0))
+            if runs and block.stop - runs[-1][0].start <= _RUN_EDGES:
+                runs[-1].append(block)
+            else:
+                runs.append([block])
+            blocks.append(block)
+            srcs.append(pixels[block.src].ravel())
+            dsts.append(pixels[block.dst].ravel())
 
     n = height * width
     edges = 2 * (blocks[-1].stop if blocks else 0)
@@ -258,6 +271,51 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
                         + u.take(pattern.cols_h[slots]) + fmin @ scale)
         np.exp(w, out=w)
     return w
+
+
+def neighbor_affinity(stack: np.ndarray, radius: int, theta: np.ndarray,
+                      pixels: np.ndarray):
+    """W between each of `pixels` and its neighbors in `build_sparsity`'s
+    pattern, by `learned_affinity`'s formula, without the pattern.
+
+    Returns (neighbors, w, error), one row per pixel and one column per
+    offset +o, then -o, of `neighbor_offsets`: the neighbor's flat index
+    (the pixel itself where the offset leaves the grid) and the pair's
+    affinity (0 there). Rows are gathered `_RUN_EDGES` pairs at a time.
+    The two computations round differently, each within the documented
+    bound of `learned_affinity` of the exact logit, so `error` bounds
+    each row's |w / W - 1| against `learned_affinity`'s W: exp of twice
+    that bound, plus both exps' rounding.
+    """
+    grid = np.asarray(stack, dtype=np.float64)
+    if grid.ndim != 3:
+        raise InvalidInputError(f"bad stack shape {grid.shape}")
+    height, width, k = grid.shape
+    theta = np.asarray(theta, dtype=np.float64)
+    _check_head(k, theta)
+    offsets = neighbor_offsets(height, width, radius)
+    offsets = np.concatenate((offsets, -offsets))
+    pixels = np.asarray(pixels, dtype=np.intp)
+    y, x = np.divmod(pixels[:, None], width)
+    y, x = y + offsets[:, 0], x + offsets[:, 1]
+    inside = (y >= 0) & (y < height) & (x >= 0) & (x < width)
+    neighbors = np.where(inside, y * width + x, pixels[:, None])
+    flat = grid.reshape(-1, k)
+    logit, size = np.empty(neighbors.shape), np.empty(neighbors.shape)
+    scale, magnitude = -2.0 * theta, np.abs(theta)
+    step = max(1, _RUN_EDGES // max(1, offsets.shape[0]))
+    for start in range(0, pixels.size, step):
+        part = slice(start, start + step)
+        src, dst = flat[pixels[part]][:, None, :], flat[neighbors[part]]
+        logit[part] = (src @ theta + dst @ theta
+                       + np.minimum(src, dst) @ scale)
+        size[part] = np.abs(src) @ magnitude + np.abs(dst) @ magnitude
+    with np.errstate(over="ignore"):
+        w = np.where(inside, np.exp(logit), 0.0)
+        # sum_c |theta_c| (|S_ic| + |S_jc|), as the bound has it
+        size = np.where(inside, size, 0.0).max(axis=1, initial=0.0)
+        error = np.expm1(2.0 * (2 * k + 4) * _EPS * size) + 3.0 * _EPS
+    return neighbors, w, error
 
 
 def pair_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,

@@ -102,7 +102,8 @@ def unary_forward(flat_stack: np.ndarray, params: UnaryParams) -> np.ndarray:
         raise InvalidInputError(
             f"stack has {flat_stack.shape[1]} channels, classifier expects "
             f"{params.weights.shape[1]}")
-    return flat_stack @ params.weights.T + params.bias
+    with np.errstate(over="ignore"):  # the pipeline rejects non-finite f
+        return flat_stack @ params.weights.T + params.bias
 
 
 def softmax(y: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ y_{t+1} = alpha * A y_t + (1 - alpha) * f. Backward passes are exact
 Jacobian transposes: the score branch gets A^T dY and the affinity branch
 the outer product dY f^T on the pattern's edges; training's layer carries
 that through A = D^-1 W to dW summed over each pixel pair.
+`certify_labels` bounds every walk's scores by interval, to decide labels
+without running the walk.
 """
 
 import numpy as np
@@ -40,6 +42,42 @@ def rw_step(a: TransitionMatrix, f: np.ndarray, y_t: np.ndarray,
     if f.shape != y_t.shape:
         raise InvalidInputError(f"shapes {f.shape} vs {y_t.shape} differ")
     return alpha * a.matvec(y_t) + (1.0 - alpha) * f
+
+
+def certify_labels(f: np.ndarray, alpha: float, rows=slice(None), af=None,
+                   af_error=0.0):
+    """Labels that f decides for every walk from it, by interval: returns
+    (labels, certain) for f[rows].
+
+    Each column of y_N, N >= 1 damped steps from f, and of the fixed
+    point y* lies in f's column range [m_c, M_c], and so does A times
+    either. So y - f = alpha (A y' - f) puts y_ic in f_ic + alpha [m_c -
+    f_ic, M_c - f_ic]. Given af = (A f)[rows], one sweep y_1 = alpha A f
+    + (1 - alpha) f narrows that: y - y_1 = alpha^2 (A A y'' - A f) puts
+    y_ic in y1_ic + alpha^2 [m_c - (Af)_ic, M_c - (Af)_ic]. Both hold for
+    pixels with a neighbor; on a 1 x 1 grid y = (1 - alpha) f, outside
+    the first interval, which is then the point f and orders the classes
+    as y does. A row is certain where its best class's lower end exceeds
+    every other class's upper end, so exact ties never are. The ends
+    widen by (alpha + alpha^2) `af_error`, a bound on |af - A f|, and by
+    8 eps max|f|, their own rounding (a few terms, each at most 2 max|f|).
+    """
+    f_min, f_max = f.min(axis=0), f.max(axis=0)
+    slack = 8.0 * np.finfo(np.float64).eps * np.abs(f).max(initial=0.0)
+    if af is None:
+        y = anchor = f[rows]
+        reach = alpha
+    else:
+        y = alpha * af + (1.0 - alpha) * f[rows]
+        anchor, reach = af, alpha ** 2
+        slack = slack + (alpha + reach) * af_error
+    with np.errstate(invalid="ignore"):  # a non-finite af certifies nothing
+        low = y + reach * (f_min - anchor) - slack
+        high = y + reach * (f_max - anchor) + slack
+        labels = np.argmax(low, axis=1)
+        best = np.take_along_axis(low, labels[:, None], axis=1)[:, 0]
+        np.put_along_axis(high, labels[:, None], -np.inf, axis=1)
+        return labels, best > high.max(axis=1, initial=-np.inf)
 
 
 def rw_backward_f(a: TransitionMatrix, dy: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import string
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walkseg import cli, features, pipeline, pnm
+from walkseg import cli, features, pipeline, pnm, synth
 from walkseg.cli import main
 from walkseg.config import (Config, PRESETS, apply_overrides, apply_preset,
                             parse_config, serialize_config)
@@ -465,25 +466,32 @@ def test_damaged_input_file_is_a_data_error(clean_inputs, target, at, byte):
         assert err.getvalue().count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("alpha", ["0.01", "0.7", "0.99"])
 def test_non_finite_class_scores_are_a_data_error(tmp_path, alpha, capsys):
     """A checkpoint of finite values whose classifier weights overflow the
-    class scores makes `infer` exit 2 with one error line on each solver
-    route: the loop, plain and deflated conjugate gradients."""
+    class scores makes `infer` exit 2 with one error line, no warning and
+    no output on each solver route: the loop, plain and deflated
+    conjugate gradients, labels only and with `--out-probs`, and at
+    `--steps 0`, where no walk runs."""
     rng = np.random.default_rng(4)
     pnm.write_ppm(tmp_path / "img.ppm", rng.uniform(0, 1, (16, 16, 3)))
     save_checkpoint(tmp_path / "model.ckpt", ModelCheckpoint(
         rng.normal(0, 0.1, 5), UnaryParams(np.full((5, 5), 1e308),
                                            np.zeros(5)),
         FilterBankConfig(f1=1, f2=1, seed=3), 5))
-    code = main(["infer", "--checkpoint", str(tmp_path / "model.ckpt"),
-                 "--image", str(tmp_path / "img.ppm"),
-                 "--out-labels", str(tmp_path / "out.pgm"),
-                 "--radius", "2", "--alpha", alpha])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "error: non-finite class scores\n"
+    infer = ["infer", "--checkpoint", str(tmp_path / "model.ckpt"),
+             "--image", str(tmp_path / "img.ppm"),
+             "--out-labels", str(tmp_path / "out.pgm"),
+             "--radius", "2", "--alpha", alpha]
+    probs = ["--out-probs", str(tmp_path / "out.probs")]
+    for flags in ([], probs, ["--steps", "0"], ["--steps", "0", *probs]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*infer, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: non-finite class scores\n"
+        assert not list(tmp_path.glob("out.*"))
 
 
 def test_train_missing_manifest_entry(smoke_workspace, tmp_path):
@@ -525,6 +533,45 @@ def test_infer_converge_matches_solver(smoke_workspace, tmp_path):
     expected, _ = predict(load_checkpoint(ckpt), image, steps="converge",
                           radius=5, solver_cfg=SolverConfig())
     np.testing.assert_array_equal(pnm.read_pgm(out), expected)
+
+
+def test_infer_labels_do_not_depend_on_out_probs(tmp_path, monkeypatch):
+    """`infer` writes the same label map with and without `--out-probs`,
+    that is by the labels route and by `predict`, at alpha 0.01, 0.1 and
+    0.7 and steps 0, 1 and converge. On this scene the labels route
+    certifies pixels after its local sweep and also falls back."""
+    rng = np.random.default_rng(0)
+    bank = FilterBankConfig(f1=2, f2=2, seed=3)
+    save_checkpoint(tmp_path / "model.ckpt", ModelCheckpoint(
+        rng.normal(-0.5, 0.3, bank.num_channels),
+        UnaryParams(rng.normal(0.0, 1.0, (3, bank.num_channels)),
+                    np.zeros(3)), bank, 3))
+    (image, _), = synth.generate(synth.SceneSpec(24, 24, seed=0), 1)
+    pnm.write_ppm(tmp_path / "img.ppm", image)
+    counts = []
+
+    def predict_labels(*args, **kwargs):
+        labels, count = labels_route(*args, **kwargs)
+        counts.append(count)
+        return labels, count
+
+    labels_route = cli.predict_labels
+    monkeypatch.setattr(cli, "predict_labels", predict_labels)
+    for alpha in ("0.01", "0.1", "0.7"):
+        for steps in ("0", "1", "converge"):
+            written = []
+            for extra in ([], ["--out-probs", str(tmp_path / "p.probs")]):
+                out = tmp_path / "labels.pgm"
+                assert main(["infer", "--checkpoint",
+                             str(tmp_path / "model.ckpt"),
+                             "--image", str(tmp_path / "img.ppm"),
+                             "--out-labels", str(out), "--radius", "3",
+                             "--alpha", alpha, "--steps", steps, *extra]) == 0
+                written.append(out.read_bytes())
+            assert written[0] == written[1]
+    assert len(counts) == 9
+    assert any(count["sweep"] for count in counts)
+    assert any(count["fallback"] for count in counts)
 
 
 def test_infer_alpha_from_flag_and_config_file(smoke_workspace, tmp_path):
@@ -596,25 +643,42 @@ def test_infer_affinity_dump(smoke_workspace, tmp_path):
 
 def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
                                          monkeypatch):
-    """One feature stack and one W per request, an affinity dump included."""
+    """One feature stack per request. A labels-only request builds W for
+    the whole pattern once if a pixel falls back to the full route, and
+    otherwise never; an affinity dump builds it once."""
     root, data, ckpt, _, overrides = smoke_workspace
-    calls = []
-    # each where `prepare_stack` and `predict` look it up
+    calls, counts = [], []
+    # each where `prepare_stack`, `predict` and `predict_labels` look it up
     for module, name in ((features, "extract_features"),
-                         (pipeline, "learned_affinity")):
+                         (pipeline, "learned_affinity"),
+                         (pipeline, "neighbor_affinity")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, _name=name, _original=original:
                             calls.append(_name) or _original(*args))
-    argv = ["infer", *overrides, "--checkpoint", str(ckpt),
-            "--image", str(data / "test" / "img000.ppm"),
-            "--out-labels", str(tmp_path / "p.pgm"), "--radius", "2"]
-    assert main(argv) == 0
-    assert sorted(calls) == ["extract_features", "learned_affinity"]
-    calls.clear()
-    assert main([*argv, "--dump-affinity", str(tmp_path / "edges")]) == 0
-    assert sorted(calls) == ["extract_features", "learned_affinity"]
-    assert (tmp_path / "edges.W.txt").exists()
+    def predict_labels(*args, **kwargs):
+        labels, count = labels_route(*args, **kwargs)
+        counts.append(count)
+        return labels, count
+
+    labels_route = cli.predict_labels
+    monkeypatch.setattr(cli, "predict_labels", predict_labels)
+    for image, radius in (("img000.ppm", "2"), ("img001.ppm", "5")):
+        argv = ["infer", *overrides, "--checkpoint", str(ckpt),
+                "--image", str(data / "test" / image),
+                "--out-labels", str(tmp_path / "p.pgm"), "--radius", radius]
+        calls.clear()
+        assert main(argv) == 0
+        count = counts.pop()
+        swept = calls.count("neighbor_affinity")
+        assert (count["sweep"] > 0) <= swept <= (count["sweep"]
+                                                 + count["fallback"] > 0)
+        assert calls == (["extract_features"] + ["neighbor_affinity"] * swept
+                         + ["learned_affinity"] * (count["fallback"] > 0))
+        calls.clear()
+        assert main([*argv, "--dump-affinity", str(tmp_path / "edges")]) == 0
+        assert calls == ["extract_features", "learned_affinity"]
+        assert (tmp_path / "edges.W.txt").exists()
 
 
 def test_eval_perfect_predictions(smoke_workspace, tmp_path):

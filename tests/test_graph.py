@@ -19,8 +19,8 @@ from walkseg.graph import (_build_sparsity, affinity_forward,
                            affinity_loss_grad, build_sparsity,
                            channel_distances, dump_edges,
                            ground_truth_affinity, learned_affinity,
-                           pair_affinity_backward, same_label_pairs,
-                           transition)
+                           neighbor_affinity, pair_affinity_backward,
+                           same_label_pairs, transition)
 from walkseg.training import softmax_loss_grad, unary_forward, init_unary
 from walkseg.walk import rw_backward_a, rw_backward_pairs, rw_step
 
@@ -223,6 +223,46 @@ def test_affinity_symmetry_preserved():
 
 # ---------------------------------------------------------------------------
 # offset-major affinity layer against the gather reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), r=st.integers(1, 11),
+       k=st.integers(1, 40), count=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, k=2, count=1, seed=0)
+@example(h=1, w=9, r=3, k=5, count=4, seed=1)
+@example(h=9, w=1, r=11, k=40, count=30, seed=2)
+@example(h=9, w=9, r=4, k=40, count=30, seed=3)  # several runs of pairs
+def test_neighbor_affinity_is_learned_affinity_per_pixel(h, w, r, k, count,
+                                                         seed):
+    """Each pixel's row of `neighbor_affinity` lists its neighbors in the
+    pattern once each, and their W within the returned bound of
+    `learned_affinity`'s, on 1x1 to 9x9 grids with radii past their
+    diagonal and pixels repeated in any order."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    stack = per_channel_normalize(rng.uniform(0.0, 1.0, (h, w, k)))
+    theta = rng.normal(-0.5, 1.0, k)
+    w_dense = np.zeros((h * w, h * w))
+    w_dense[pattern.rows_h, pattern.cols_h] = learned_affinity(
+        stack, pattern, theta)
+    w_dense += w_dense.T
+    pixels = rng.integers(0, h * w, count)
+    neighbors, w_rows, error = neighbor_affinity(stack, r, theta, pixels)
+    offsets = 2 * len(graph.neighbor_offsets(h, w, r))
+    assert neighbors.shape == w_rows.shape == (count, offsets)
+    assert np.all(error < 1e-9)
+    for p, row, values, bound in zip(pixels, neighbors, w_rows, error):
+        inside = row != p
+        start, stop = pattern.indptr[p], pattern.indptr[p + 1]
+        expected = np.sort(np.concatenate((
+            pattern.cols_h[pattern.rows_h == p],
+            pattern.rows_h[pattern.cols_h == p])))
+        assert stop - start == inside.sum()
+        np.testing.assert_array_equal(np.sort(row[inside]), expected)
+        assert np.all(values[~inside] == 0.0)
+        assert np.all(np.abs(values[inside] / w_dense[p, row[inside]] - 1.0)
+                      <= bound)
 
 
 @settings(max_examples=60, deadline=None)

@@ -45,8 +45,9 @@ def test_script_flags_parse(name, commands, tmp_path, monkeypatch):
 
 def test_paper_size_measurement_runs_small():
     """At 24x24 the paper-size script prints one JSON line per case, each
-    with its stage times and peak memory, and conjugate gradients' report
-    where they run (alpha 0.99)."""
+    with its stage times and peak memory, conjugate gradients' report
+    where they run (alpha 0.99), and the labels route's counts where it
+    runs (without `--out-probs`)."""
     env = dict(os.environ, PYTHONPATH=str(Path(walkseg.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "measure_paper_size.py"),
@@ -61,6 +62,10 @@ def test_paper_size_measurement_runs_small():
             "features", "pattern", "affinities", "transition", "solve"}
         assert 0 < line["stages_s"]["solve"] <= line["total_s"]
         assert ("cg" in line) == (line["alpha"] == 0.99)
+        assert ("certified" in line) == (line["case"] in ("labels", "alpha"))
+    for line in lines[0], lines[2]:
+        assert set(line["certified"]) == {"scores", "sweep", "fallback"}
+        assert sum(line["certified"].values()) == 24 * 24
     assert lines[0]["labels_sha256"] == lines[1]["labels_sha256"]
     assert lines[2]["cg"]["tiles"] == lines[3]["cg"]["tiles"] == 36
     assert lines[3]["stages_s"]["features"] == 0.0

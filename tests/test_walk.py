@@ -5,11 +5,16 @@ from hypothesis import strategies as st
 
 from helpers import (damped_series_dense, numerical_gradient,
                      random_transition, rel_error, transition_backward)
+from walkseg import pipeline
 from walkseg.errors import InvalidInputError
+from walkseg.features import FilterBankConfig
 from walkseg.graph import build_sparsity, transition
-from walkseg.training import softmax_loss_grad
-from walkseg.walk import (rw_backward_a, rw_backward_f, rw_backward_pairs,
-                          rw_forward, rw_step)
+from walkseg.solver import SolverConfig, dense_oracle_solve
+from walkseg.training import ModelCheckpoint, UnaryParams, softmax_loss_grad
+from walkseg.walk import (certify_labels, rw_backward_a, rw_backward_f,
+                          rw_backward_pairs, rw_forward, rw_step)
+
+EPS = np.finfo(np.float64).eps
 
 
 def swap_transition():
@@ -232,3 +237,156 @@ def test_max_principle(seed):
     eps = 1e-12
     assert np.all(y <= f.max(axis=0) + eps)
     assert np.all(y >= f.min(axis=0) - eps)
+
+
+# ---------------------------------------------------------------------------
+# label certificates
+
+
+def decided(y, gap):
+    """Rows of y whose top class leads the next by more than `gap`, the
+    rounding of the reference that computed y."""
+    if y.shape[1] == 1:
+        return np.ones(len(y), dtype=bool)
+    top_two = np.sort(y, axis=1)[:, -2:]
+    return top_two[:, 1] - top_two[:, 0] > gap
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(1, 8),
+       m=st.integers(1, 3), mirrored=st.booleans(),
+       alpha=st.sampled_from([0.0, 0.01, 0.1, 0.49, 0.9]),
+       scores=st.sampled_from(["normal", "coarse", "tied", "one-hot"]),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, m=3, mirrored=True, alpha=0.9, scores="normal",
+         seed=0)
+@example(h=1, w=1, r=2, m=2, mirrored=True, alpha=0.49, scores="tied", seed=1)
+@example(h=1, w=6, r=2, m=3, mirrored=False, alpha=0.1, scores="coarse",
+         seed=2)
+@example(h=6, w=1, r=3, m=2, mirrored=True, alpha=0.9, scores="normal",
+         seed=3)
+@example(h=4, w=5, r=8, m=3, mirrored=False, alpha=0.49, scores="one-hot",
+         seed=4)
+@example(h=3, w=3, r=8, m=1, mirrored=True, alpha=0.01, scores="normal",
+         seed=5)
+def test_certified_labels_are_the_walks(h, w, r, m, mirrored, alpha, scores,
+                                        seed):
+    """A label that `certify_labels` certifies, from f alone or after one
+    sweep, is the argmax of the exact fixed point (a dense solve) and of
+    1-3 damped steps, for W symmetric or not, on 1x1 to 6x6 grids with
+    radii past their diagonal, one to three classes, exact ties (equal
+    columns, scores on a coarse grid) and one-hot scores. Only the
+    references' own rounding leaves a row out, and tied rows are never
+    certified."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    half = pattern.num_pairs
+    weights = rng.uniform(0.2, 2.0, pattern.num_edges)
+    if mirrored:
+        weights[half:] = weights[:half]
+    a = transition(pattern, weights)
+    n = h * w
+    f = {"normal": lambda: rng.standard_normal((n, m)),
+         "coarse": lambda: np.round(rng.standard_normal((n, m)), 1),
+         "tied": lambda: np.repeat(rng.standard_normal((n, 1)), m, axis=1),
+         "one-hot": lambda: np.eye(m)[rng.integers(0, m, n)]}[scores]()
+    walks = [(1.0 - alpha) * dense_oracle_solve(a, f, alpha)]
+    for _ in range(3):
+        walks.append(rw_step(a, f, walks[-1] if len(walks) > 1 else f, alpha))
+    gap = 1e-9 * (1.0 + np.abs(f).max())
+    linked = np.flatnonzero(np.diff(pattern.indptr) > 0)
+    af_error = (np.diff(pattern.indptr).max() + 2) * EPS * np.abs(f).max()
+    for rows, (labels, certain) in (
+            (np.arange(n), certify_labels(f, alpha)),
+            (linked, certify_labels(f, alpha, linked, a.matvec(f)[linked],
+                                    af_error))):
+        if scores == "tied" and m > 1:
+            assert not certain.any()
+        if scores == "normal" and alpha == 0.0:
+            assert certain.all()
+        for y in walks:
+            y = y[rows]
+            sure = certain & decided(y, gap)
+            np.testing.assert_array_equal(labels[sure],
+                                          np.argmax(y, axis=1)[sure])
+
+
+def test_certificate_leaves_a_rounding_sized_gap_open():
+    """Scores one ulp apart are not certified, since the interval ends
+    carry their own rounding, and a gap of 1e-12 is. On two swapping
+    pixels at alpha 0.6, one sweep's argmax differs from the fixed
+    point's, and neither f nor the sweep certifies it."""
+    f = np.array([[1.0, np.nextafter(1.0, 2.0)]])
+    labels, certain = certify_labels(f, 0.5)
+    assert not certain.any()
+    labels, certain = certify_labels(f + [0.0, 1e-12], 0.5)
+    assert certain.all() and labels.tolist() == [1]
+    a = transition(build_sparsity(1, 2, 1), np.ones(1))
+    f = np.array([[0.0, 1e-12], [1e-12, 0.0]])
+    labels, certain = certify_labels(f, 0.0)
+    assert certain.all() and labels.tolist() == [1, 0]
+    af = a.matvec(f)
+    assert np.argmax(rw_step(a, f, f, 0.6), axis=1).tolist() == [0, 1]
+    assert np.argmax(dense_oracle_solve(a, f, 0.6), axis=1).tolist() == [1, 0]
+    for certificate in (certify_labels(f, 0.6),
+                        certify_labels(f, 0.6, [0, 1], af, 4 * EPS)):
+        assert not certificate[1].any()
+
+
+def tiny_checkpoint(rng, classes, tied=False):
+    bank = FilterBankConfig(f1=1, f2=1, seed=3)
+    weights = rng.normal(0.0, 2.0, (classes, bank.num_channels))
+    bias = rng.normal(0.0, 0.1, classes)
+    if tied:
+        weights[1:], bias[1:] = weights[0], bias[0]
+    return ModelCheckpoint(rng.normal(-0.5, 0.3, bank.num_channels),
+                           UnaryParams(weights, bias), bank, classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), r=st.integers(1, 9),
+       m=st.integers(1, 3), tied=st.booleans(),
+       alpha=st.sampled_from([0.0, 0.01, 0.1, 0.49, 0.7]),
+       steps=st.sampled_from([1, 3, "converge"]), seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, m=3, tied=False, alpha=0.01, steps="converge",
+         seed=0)
+@example(h=1, w=7, r=2, m=2, tied=True, alpha=0.1, steps=1, seed=1)
+@example(h=7, w=1, r=9, m=3, tied=False, alpha=0.7, steps=3, seed=2)
+def test_predict_labels_are_predicts(h, w, r, m, tied, alpha, steps, seed):
+    """`predict_labels` gives `predict`'s labels wherever `predict`'s walk
+    decides them (within its tolerance), on the loop and on conjugate
+    gradients, and all of them when a pixel falls back, as an exact tie
+    (equal classifier rows) always does. Its counts add up to the
+    pixels."""
+    rng = np.random.default_rng(seed)
+    ckpt = tiny_checkpoint(rng, m, tied)
+    image = rng.uniform(0.0, 1.0, (h, w, 3))
+    cfg = SolverConfig(alpha=alpha)
+    expected, y = pipeline.predict(ckpt, image, steps, r, cfg)
+    labels, counts = pipeline.predict_labels(ckpt, image, steps, r, cfg)
+    assert sum(counts.values()) == h * w
+    if tied and m > 1:
+        assert counts["fallback"] > 0
+    if counts["fallback"]:
+        np.testing.assert_array_equal(labels, expected)
+    sure = decided(y, 2.0 * cfg.tolerance + 1e-9)
+    np.testing.assert_array_equal(labels.ravel()[sure],
+                                  expected.ravel()[sure])
+
+
+def test_predict_labels_on_one_pixel():
+    """A 1x1 image has no neighbor, so y = (1 - alpha) f, outside the
+    interval of f alone but ordered as f: certified by f at every alpha
+    and steps, and `predict`'s label."""
+    rng = np.random.default_rng(7)
+    ckpt = tiny_checkpoint(rng, 3)
+    ckpt.unary.bias[:] = [0.0, 2.0, 1.0]  # a 1x1 stack normalizes to 0
+    image = rng.uniform(0.0, 1.0, (1, 1, 3))
+    for alpha in (0.0, 0.5, 0.99):
+        for steps in (1, 2, "converge"):
+            cfg = SolverConfig(alpha=alpha)
+            labels, counts = pipeline.predict_labels(ckpt, image, steps, 2,
+                                                     cfg)
+            assert counts == dict(scores=1, sweep=0, fallback=0)
+            expected, _ = pipeline.predict(ckpt, image, steps, 2, cfg)
+            assert labels.tolist() == expected.tolist() == [[1]]
