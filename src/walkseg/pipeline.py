@@ -24,17 +24,23 @@ from .synth import corrupt_unaries, oracle_affinity
 from .training import ModelCheckpoint, unary_forward
 from .walk import certify_labels, rw_step
 
-# `predict_labels` sweeps locally only while its uncertified pixels touch
-# at most this share of the pattern's pixel pairs. A gathered pair costs
-# about 2.5 times a pattern pair of the full route: at 64x64, R5, 131
-# channels (152,872 pairs, full route 25-28 ms, 2-core host) the sweep
-# took 0.6, 2.1, 3.6 and 6.8 ms at shares 0.003, 0.026, 0.052 and 0.105.
-# So a scene that sweeps and still falls back costs at most about 10%
-# more than the full route alone. On perfbench's `infer` scenes (seed 1,
-# 64 scenes) shares reached 0.019 at alpha 0.01, where the sweep left
-# pixels on 4 scenes, and at alpha 0.1 it certified every pixel only on
-# 5 scenes, all below 0.01.
-LOCAL_SWEEP_MAX_SHARE = 0.04
+# `predict_labels` sweeps locally at most LOCAL_SWEEPS times, and only
+# while all the rows of W it gathers hold at most LOCAL_SWEEP_MAX_SHARE of
+# the pattern's pixel pairs. A gathered pair costs about 2.5 times a
+# pattern pair of the full route: at 64x64, R5, 131 channels (152,872
+# pairs, full route 25-28 ms, 2-core host) one sweep took 0.6, 2.1, 3.6
+# and 6.8 ms at shares 0.003, 0.026, 0.052 and 0.105. A second sweep
+# needs the rows of every neighbor of the pixels it takes, about 0.04
+# of the pairs per pixel at that size, and a third about 0.17. On
+# perfbench's `infer` scenes (64 scenes each at seeds 1-12, alpha 0.01)
+# one sweep left pixels on 0-4 scenes per seed, each then 2.2 times as
+# slow as a certified one; with a second sweep a share of 0.04 left 4
+# scenes at seed 1, 0.08 left one and 0.1 none at any seed, and the
+# second sweep took 3-6 ms. At alpha 0.1 (seed 1), 0.1 against 0.04
+# certified 10 more scenes, 50 fell back, and the median scene took 46.4
+# against 45.1 ms (`predict` 43.4 ms).
+LOCAL_SWEEP_MAX_SHARE = 0.1
+LOCAL_SWEEPS = 2
 
 
 @dataclass
@@ -115,13 +121,16 @@ def predict_labels(ckpt: ModelCheckpoint, image, steps="converge",
 
     `walk.certify_labels` first decides what f alone decides. For the
     pixels U left, `graph.neighbor_affinity` gives their rows of W, so
-    one local sweep gives (A f)_U and certifies again. If any pixel is
-    still open, or U touches more than LOCAL_SWEEP_MAX_SHARE of the
-    pattern's pairs, `predict`'s route runs on the same stack and f and
-    gives every label. A certified label is the exact walk's, which
-    `predict`'s equals wherever its solve is decided. `counts` holds the
-    pixels certified by f (`scores`) and by the sweep (`sweep`), and those
-    left to the full route (`fallback`).
+    one local sweep gives (A f)_U and certifies again; for the pixels
+    still open, a second sweep also gathers their neighbors' rows and
+    gives (A^2 f) there (at most LOCAL_SWEEPS sweeps, and no more than
+    `steps`). If any pixel is still open, or the rows would pass
+    LOCAL_SWEEP_MAX_SHARE of the pattern's pairs, `predict`'s route runs
+    on the same stack and f and gives every label. A certified label is
+    the exact walk's, which `predict`'s equals wherever its solve is
+    decided. `counts` holds the pixels certified by f (`scores`) and by
+    the local sweeps (`sweep`), and those left to the full route
+    (`fallback`).
     """
     solver_cfg = solver_cfg or SolverConfig()
     solver_cfg.validate()
@@ -137,21 +146,16 @@ def predict_labels(ckpt: ModelCheckpoint, image, steps="converge",
     counts = dict(scores=int(certain.sum()), sweep=0, fallback=0)
     left = np.flatnonzero(~certain)
     pairs = ((height - offsets[:, 0]) * (width - np.abs(offsets[:, 1]))).sum()
-    if 0 < 2 * len(offsets) * left.size <= LOCAL_SWEEP_MAX_SHARE * pairs:
-        neighbors, w, error = neighbor_affinity(stack, radius, ckpt.theta,
-                                                left)
-        degree = w.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            af = np.einsum("up,upc->uc", w, f[neighbors]) / degree[:, None]
-            # the sums' rounding, and W's against `learned_affinity`'s
-            # moving A f by at most error / (1 - error) of f's range
-            af_error = ((w.shape[1] + 1) * np.finfo(np.float64).eps
-                        * np.abs(f).max() + np.ptp(f, axis=0)
-                        * (error / (1.0 - error))[:, None])
-        swept, sure = certify_labels(f, alpha, left, af, af_error)
-        sure &= (degree > 0.0) & np.isfinite(degree) & (error < 1.0)
+    rows = _GatheredRows(stack, radius, ckpt.theta, f.shape[0],
+                         2 * len(offsets), LOCAL_SWEEP_MAX_SHARE * pairs)
+    sweeps = LOCAL_SWEEPS if steps == "converge" else min(steps, LOCAL_SWEEPS)
+    for hops in range(1, sweeps + 1):
+        walk = _local_walk(rows, f, alpha, left, hops) if left.size else None
+        if walk is None:
+            break
+        swept, sure = certify_labels(f, alpha, left, *walk, hops=hops)
         labels[left[sure]] = swept[sure]
-        counts["sweep"] = int(sure.sum())
+        counts["sweep"] += int(sure.sum())
         left = left[~sure]
     if left.size:
         counts["fallback"] = int(left.size)
@@ -159,6 +163,83 @@ def predict_labels(ckpt: ModelCheckpoint, image, steps="converge",
                                                        radius),
                                    f, steps, solver_cfg), axis=1)
     return labels.reshape(height, width), counts
+
+
+class _GatheredRows:
+    """The rows of W that `neighbor_affinity` gathered for one labels
+    request, each pixel's once, row `slot[p]` for pixel p, up to a budget
+    of `budget` pairs."""
+
+    def __init__(self, stack, radius, theta, num_pixels, width, budget):
+        self._gather = lambda pixels: neighbor_affinity(stack, radius, theta,
+                                                        pixels)
+        self.slot = np.full(num_pixels, -1, dtype=np.intp)
+        self.neighbors = np.empty((0, width), dtype=np.intp)
+        self.w = np.empty((0, width))
+        self.error = np.empty(0)
+        self.budget = budget
+
+    def gather(self, pixels) -> bool:
+        """Gather the rows of `pixels` not yet gathered; False, gathering
+        nothing, if that would pass the budget or the rows hold no pair."""
+        new = pixels[self.slot[pixels] < 0]
+        total = len(self.w) + new.size
+        if not 0 < total * self.w.shape[1] <= self.budget:
+            return False
+        if new.size:
+            self.slot[new] = np.arange(len(self.w), total)
+            parts = zip((self.neighbors, self.w, self.error),
+                        self._gather(new))
+            self.neighbors, self.w, self.error = (
+                np.concatenate(part) for part in parts)
+        return True
+
+
+def _local_walk(rows: _GatheredRows, f, alpha, pixels, hops: int):
+    """(A^K f, a bound on its rounding, y_K) on `pixels`, K = `hops`, as
+    `certify_labels` takes them, from the rows of W within K - 1 neighbor
+    steps of `pixels`; None if those pass the rows' budget.
+
+    Sweep k computes A^k f and y_k on the pixels within K - k steps, from
+    sweep k - 1's values at their neighbors. A row that is isolated, has
+    non-finite W or no error bound gives NaN, which certifies nothing
+    wherever it reaches. Each sweep's bound carries the last one's
+    through a row summing to 1 within its rounding, and adds the sums'
+    rounding and W's against `learned_affinity`'s, which moves A x by at
+    most error / (1 - error) of f's range.
+    """
+    regions = [pixels]
+    while rows.gather(regions[-1]):
+        if len(regions) == hops:
+            break
+        regions.append(np.union1d(regions[-1],
+                                  rows.neighbors[rows.slot[regions[-1]]]))
+    else:
+        return None
+    eps = np.finfo(np.float64).eps
+    width = rows.w.shape[1]
+    rounding = (width + 1) * eps * np.abs(f).max()
+    af, y = (np.empty((len(rows.w), f.shape[1])) for _ in range(2))
+    carried = np.zeros(f.shape[1])
+    for k, region in enumerate(reversed(regions)):
+        at = rows.slot[region]
+        w, neighbors, error = rows.w[at], rows.neighbors[at], rows.error[at]
+        degree = w.sum(axis=1)
+        valid = (degree > 0.0) & np.isfinite(degree) & (error < 1.0)
+        if k == 0:
+            last_af = last_y = f[neighbors]
+        else:
+            last_af, last_y = af[rows.slot[neighbors]], y[rows.slot[neighbors]]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            af[at] = np.einsum("up,upc->uc", w, last_af) / degree[:, None]
+            y[at] = (alpha * np.einsum("up,upc->uc", w, last_y)
+                     / degree[:, None] + (1.0 - alpha) * f[region])
+            ratio = np.where(valid, error / (1.0 - error), 0.0)
+        af[at[~valid]] = y[at[~valid]] = np.nan
+        bound = (carried * (1.0 + (width + 1) * eps) + rounding
+                 + np.ptp(f, axis=0) * ratio[:, None])
+        carried = bound.max(axis=0)
+    return af[at], bound, y[at]
 
 
 def oracle_scene(labels, corrupt: CorruptionConfig, num_classes: int = None):

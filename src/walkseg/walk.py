@@ -45,21 +45,23 @@ def rw_step(a: TransitionMatrix, f: np.ndarray, y_t: np.ndarray,
 
 
 def certify_labels(f: np.ndarray, alpha: float, rows=slice(None), af=None,
-                   af_error=0.0):
+                   af_error=0.0, y=None, hops: int = 1):
     """Labels that f decides for every walk from it, by interval: returns
     (labels, certain) for f[rows].
 
     Each column of y_N, N >= 1 damped steps from f, and of the fixed
     point y* lies in f's column range [m_c, M_c], and so does A times
     either. So y - f = alpha (A y' - f) puts y_ic in f_ic + alpha [m_c -
-    f_ic, M_c - f_ic]. Given af = (A f)[rows], one sweep y_1 = alpha A f
-    + (1 - alpha) f narrows that: y - y_1 = alpha^2 (A A y'' - A f) puts
-    y_ic in y1_ic + alpha^2 [m_c - (Af)_ic, M_c - (Af)_ic]. Both hold for
-    pixels with a neighbor; on a 1 x 1 grid y = (1 - alpha) f, outside
-    the first interval, which is then the point f and orders the classes
-    as y does. A row is certain where its best class's lower end exceeds
-    every other class's upper end, so exact ties never are. The ends
-    widen by (alpha + alpha^2) `af_error`, a bound on |af - A f|, and by
+    f_ic, M_c - f_ic]. Given af = (A^K f)[rows] and y = y_K[rows], K =
+    `hops` <= N sweeps (by default y_1 = alpha A f + (1 - alpha) f),
+    y - y_K = (alpha A)^K (y' - f) = alpha^(K+1) (A^(K+1) y'' - A^K f)
+    narrows that: y_ic lies in y_K,ic + alpha^(K+1) [m_c - (A^K f)_ic,
+    M_c - (A^K f)_ic]. Both hold for pixels with a neighbor; on a 1 x 1
+    grid y = (1 - alpha) f, outside the first interval, which is then the
+    point f and orders the classes as y does. A row is certain where its
+    best class's lower end exceeds every other class's upper end, so
+    exact ties never are. The ends widen by (alpha + alpha^(K+1))
+    `af_error`, a bound on |af - A^K f| and on |y - y_K| / alpha, and by
     8 eps max|f|, their own rounding (a few terms, each at most 2 max|f|).
     """
     f_min, f_max = f.min(axis=0), f.max(axis=0)
@@ -68,8 +70,9 @@ def certify_labels(f: np.ndarray, alpha: float, rows=slice(None), af=None,
         y = anchor = f[rows]
         reach = alpha
     else:
-        y = alpha * af + (1.0 - alpha) * f[rows]
-        anchor, reach = af, alpha ** 2
+        if y is None:
+            y = alpha * af + (1.0 - alpha) * f[rows]
+        anchor, reach = af, alpha ** (hops + 1)
         slack = slack + (alpha + reach) * af_error
     with np.errstate(invalid="ignore"):  # a non-finite af certifies nothing
         low = y + reach * (f_min - anchor) - slack

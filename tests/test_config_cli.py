@@ -643,9 +643,10 @@ def test_infer_affinity_dump(smoke_workspace, tmp_path):
 
 def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
                                          monkeypatch):
-    """One feature stack per request. A labels-only request builds W for
-    the whole pattern once if a pixel falls back to the full route, and
-    otherwise never; an affinity dump builds it once."""
+    """One feature stack per request. A labels-only request gathers rows
+    of W at most once per local sweep, and builds W for the whole pattern
+    once if a pixel falls back to the full route, and otherwise never; an
+    affinity dump builds it once."""
     root, data, ckpt, _, overrides = smoke_workspace
     calls, counts = [], []
     # each where `prepare_stack`, `predict` and `predict_labels` look it up
@@ -671,8 +672,8 @@ def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
         assert main(argv) == 0
         count = counts.pop()
         swept = calls.count("neighbor_affinity")
-        assert (count["sweep"] > 0) <= swept <= (count["sweep"]
-                                                 + count["fallback"] > 0)
+        assert (count["sweep"] > 0) <= swept <= pipeline.LOCAL_SWEEPS * (
+            count["sweep"] + count["fallback"] > 0)
         assert calls == (["extract_features"] + ["neighbor_affinity"] * swept
                          + ["learned_affinity"] * (count["fallback"] > 0))
         calls.clear()

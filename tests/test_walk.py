@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (damped_series_dense, numerical_gradient,
@@ -8,7 +10,7 @@ from helpers import (damped_series_dense, numerical_gradient,
 from walkseg import pipeline
 from walkseg.errors import InvalidInputError
 from walkseg.features import FilterBankConfig
-from walkseg.graph import build_sparsity, transition
+from walkseg.graph import build_sparsity, neighbor_offsets, transition
 from walkseg.solver import SolverConfig, dense_oracle_solve
 from walkseg.training import ModelCheckpoint, UnaryParams, softmax_loss_grad
 from walkseg.walk import (certify_labels, rw_backward_a, rw_backward_f,
@@ -272,8 +274,9 @@ def decided(y, gap):
 def test_certified_labels_are_the_walks(h, w, r, m, mirrored, alpha, scores,
                                         seed):
     """A label that `certify_labels` certifies, from f alone or after one
-    sweep, is the argmax of the exact fixed point (a dense solve) and of
-    1-3 damped steps, for W symmetric or not, on 1x1 to 6x6 grids with
+    or two sweeps, is the argmax of the exact fixed point (a dense solve)
+    and of 1-3 damped steps (2-3 after two sweeps), for W symmetric or
+    not, on 1x1 to 6x6 grids with
     radii past their diagonal, one to three classes, exact ties (equal
     columns, scores on a coarse grid) and one-hot scores. Only the
     references' own rounding leaves a row out, and tied rows are never
@@ -296,15 +299,20 @@ def test_certified_labels_are_the_walks(h, w, r, m, mirrored, alpha, scores,
     gap = 1e-9 * (1.0 + np.abs(f).max())
     linked = np.flatnonzero(np.diff(pattern.indptr) > 0)
     af_error = (np.diff(pattern.indptr).max() + 2) * EPS * np.abs(f).max()
-    for rows, (labels, certain) in (
-            (np.arange(n), certify_labels(f, alpha)),
-            (linked, certify_labels(f, alpha, linked, a.matvec(f)[linked],
-                                    af_error))):
+    af, y1 = a.matvec(f), walks[1]
+    two = (a.matvec(af)[linked], 2.0 * af_error,
+           rw_step(a, f, y1, alpha)[linked])
+    for rows, (labels, certain), reached in (
+            (np.arange(n), certify_labels(f, alpha), walks),
+            (linked, certify_labels(f, alpha, linked, af[linked], af_error),
+             walks),
+            (linked, certify_labels(f, alpha, linked, *two, hops=2),
+             walks[:1] + walks[2:])):
         if scores == "tied" and m > 1:
             assert not certain.any()
         if scores == "normal" and alpha == 0.0:
             assert certain.all()
-        for y in walks:
+        for y in reached:
             y = y[rows]
             sure = certain & decided(y, gap)
             np.testing.assert_array_equal(labels[sure],
@@ -372,6 +380,50 @@ def test_predict_labels_are_predicts(h, w, r, m, tied, alpha, steps, seed):
     sure = decided(y, 2.0 * cfg.tolerance + 1e-9)
     np.testing.assert_array_equal(labels.ravel()[sure],
                                   expected.ravel()[sure])
+    # with no budget on the gathered rows, every sweep runs
+    with mock.patch.object(pipeline, "LOCAL_SWEEP_MAX_SHARE", 1e9):
+        unbounded, counts = pipeline.predict_labels(ckpt, image, steps, r, cfg)
+    assert sum(counts.values()) == h * w
+    if counts["fallback"]:
+        np.testing.assert_array_equal(unbounded, expected)
+    np.testing.assert_array_equal(unbounded.ravel()[sure],
+                                  expected.ravel()[sure])
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), r=st.integers(1, 4),
+       k=st.integers(1, 4), hops=st.integers(1, 3),
+       alpha=st.sampled_from([0.01, 0.5, 0.9]), seed=st.integers(0, 2 ** 16))
+@example(h=9, w=9, r=2, k=3, hops=3, alpha=0.5, seed=0)
+@example(h=1, w=5, r=4, k=1, hops=2, alpha=0.9, seed=1)
+def test_local_walk_is_the_walk(h, w, r, k, hops, alpha, seed):
+    """K local sweeps over gathered rows of W give A^K f and y_K on the
+    chosen pixels, as K products with the full route's transition do,
+    within the bound they return, gathering each pixel's row once; past
+    the rows' budget they give nothing and gather nothing."""
+    assume(h * w > 1)
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(0.0, 1.0, (h, w, k))
+    theta = rng.normal(-0.5, 0.3, k)
+    f = rng.standard_normal((h * w, 3))
+    a = pipeline._learned_transition(stack, theta, r)
+    af, y = f, f
+    for _ in range(hops):
+        af, y = a.matvec(af), rw_step(a, f, y, alpha)
+    pixels = np.unique(rng.integers(0, h * w, 3))
+    width = 2 * len(neighbor_offsets(h, w, r))
+    rows = pipeline._GatheredRows(stack, r, theta, h * w, width, np.inf)
+    local_af, bound, local_y = pipeline._local_walk(rows, f, alpha, pixels,
+                                                    hops)
+    reference = 4 * width * EPS * np.abs(f).max()  # the products' rounding
+    assert np.all(np.abs(local_af - af[pixels]) <= bound + reference)
+    assert np.all(np.abs(local_y - y[pixels]) <= alpha * bound + reference)
+    assert np.all(bound < 1e-9)
+    assert len(rows.w) == np.count_nonzero(rows.slot >= 0)  # each row once
+    rows = pipeline._GatheredRows(stack, r, theta, h * w, width,
+                                  width * pixels.size - 1)
+    assert pipeline._local_walk(rows, f, alpha, pixels, hops) is None
+    assert len(rows.w) == 0
 
 
 def test_predict_labels_on_one_pixel():
