@@ -13,7 +13,7 @@ radius 5, each in a fresh Python process that prints one JSON line:
 A line holds each stage's wall time in seconds (features, pattern,
 affinities, transition, solve), the whole case's, `ru_maxrss` in MB and
 the SHA-256 of the label map. Where conjugate gradients run it also holds
-their report (products with S, iterations, restarts, tiles) and the
+their report (products with S, iterations, restarts, aggregates) and the
 coarse space's set-up time, which the solve time includes. The requests
 without `--out-probs` take the labels route: its local affinities count
 as affinities and its certificates as the solve, and `certified` holds

@@ -34,6 +34,7 @@ with `affinity_loss_grad`.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +120,27 @@ class SparsityPattern:
     @functools.cached_property
     def cols(self) -> np.ndarray:
         return _read_only(np.concatenate((self.cols_h, self.rows_h)))
+
+    @functools.cached_property
+    def windows(self) -> list:
+        """One (src, dst, slots) per offset o > (0, 0), in `blocks`'
+        order: its whole window `src`, the window `dst` shifted by o and
+        the slots of its pairs, row-major over `src`, the concatenation
+        of its blocks."""
+        def offset(block):  # dy and the two column slices fix o
+            return (block.dst[0].start - block.src[0].start, block.src[1],
+                    block.dst[1])
+
+        windows = []
+        for _, group in itertools.groupby(self.blocks, offset):
+            group = list(group)
+            first, last = group[0], group[-1]
+            windows.append(((slice(first.src[0].start, last.src[0].stop),
+                             first.src[1]),
+                            (slice(first.dst[0].start, last.dst[0].stop),
+                             first.dst[1]),
+                            slice(first.start, last.stop)))
+        return windows
 
     @functools.cached_property
     def row_order(self) -> tuple:

@@ -104,6 +104,7 @@ def predict(ckpt: ModelCheckpoint, image, steps="converge", radius: int = 5,
     stack, y = _stack_and_scores(ckpt, image)
     if steps != 0 or dump_prefix:
         a = _learned_transition(stack, ckpt.theta, radius)
+        del stack  # W is built: the stack's memory goes before the solve
         if dump_prefix:
             for suffix, values in ((".W.txt", np.tile(a.weights, 2)),
                                    (".A.txt", a.values)):
@@ -159,9 +160,9 @@ def predict_labels(ckpt: ModelCheckpoint, image, steps="converge",
         left = left[~sure]
     if left.size:
         counts["fallback"] = int(left.size)
-        labels = np.argmax(diffuse(_learned_transition(stack, ckpt.theta,
-                                                       radius),
-                                   f, steps, solver_cfg), axis=1)
+        a = _learned_transition(stack, ckpt.theta, radius)
+        del stack, rows  # both hold the stack, which the solve does not need
+        labels = np.argmax(diffuse(a, f, steps, solver_cfg), axis=1)
     return labels.reshape(height, width), counts
 
 

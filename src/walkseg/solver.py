@@ -44,11 +44,13 @@ deflates with the space it is given and decides nothing else:
     b - (I - alpha S) z. The updated residual drifts from it, so when only
     the updated one passes, CG restarts from the recomputed one. It
     reports its products with S, its iterations and restarts, the final
-    bound and its tiles.
+    bound and its coarse space's size.
     From alpha DEFLATE_MIN_ALPHA on, CG is deflated (Nicolaides 1987). S
     has about one eigenvalue >= 0.99 per segment, near D^1/2 times a
-    piecewise-constant vector, so p tile aggregates Z_ip = D_i^1/2, i in
-    tile p (t x t pixels, see `_tile_space`), hold the slow modes.
+    piecewise-constant vector, so p aggregates Z_ip = D_i^1/2, i in
+    aggregate p, hold the slow modes: the connected components of W's
+    strong pairs inside t x t pixel tiles, which a segment boundary
+    splits (see `_tile_space`).
     Each start and restart first solves on Z, z += Z u with E u = Z^T r,
     E = Z^T (I - alpha S) Z, built from K_h Z and K_h^T Z, banded and
     factored once by Cholesky. Every iteration is then the preconditioned
@@ -71,7 +73,7 @@ from scipy.sparse._sparsetools import (csc_matvecs, csr_matvecs,
                                        csr_scale_columns, csr_scale_rows)
 
 from .errors import ConvergenceError, InvalidInputError
-from .graph import SparsityPattern, TransitionMatrix, build_sparsity, transition
+from .graph import TransitionMatrix, build_sparsity, transition
 from .walk import rw_step, _check_scores
 
 # dense solves above this pixel count are almost certainly a mistake
@@ -92,18 +94,35 @@ DENSE_PIXEL_LIMIT = 4096
 # products on oracle W.
 CG_MIN_ALPHA = 0.5
 
-# CG is deflated by tiles from this alpha on. Plain against deflated CG,
-# same set-up, in ms (scenes where deflated CG was faster):
-#   alpha             0.6        0.7        0.9        0.95       0.97
-#   oracle W      17.6/25.7  25.7/30.5  46.8/51.7  56.3/48.2  58.2/53.9
-#                   (0/16)     (0/16)     (0/16)     (8/16)    (10/16)
-#   learned W     17.2/19.3  20.9/20.3  35.7/22.3  58.4/26.1  68.1/27.4
-#                   (0/12)     (8/12)    (12/12)    (12/12)    (12/12)
-# At 0.99, 95.8/71.1 ms on oracle W (products 69 -> 37) and 90.4/26.1 on
-# learned W (61 -> 12). So this value fits oracle W, while on learned W
-# deflation pays from 0.7 on. Its fixed cost at 64x64 is about 6 ms of
-# `_tile_space` plus 0.3 ms of preconditioning per iteration.
-DEFLATE_MIN_ALPHA = 0.97
+# CG is deflated from this alpha on (see `_tile_space`). Plain against
+# deflated CG, same set-up, on 16 held-out oracle scenes (index 100-115,
+# corruption seed 1000 + i) and 12 learned-W ones, in ms (scenes where
+# deflated CG was faster; median products plain/deflated):
+#   alpha        0.6        0.7        0.8        0.85       0.9        0.97
+#   oracle W  21.8/26.7  24.1/27.1  30.3/29.3  24.9/20.9  28.7/21.4  48.1/22.7
+#               (0/16)     (0/16)    (14/16)    (16/16)    (16/16)    (16/16)
+#               12/8       15/8      18.5/9     21/9       26/10      45/11
+#   learned W 19.9/24.3  15.7/17.3  21.6/21.3  21.6/17.9  42.4/28.8  47.5/21.8
+#               (0/12)     (2/12)     (8/12)    (12/12)    (12/12)    (12/12)
+#               13/8       15/8       19/9       22/9      27.5/10     45/11
+# At 0.85 both kinds won on every scene in a second run too (29.5/24.4
+# and 32.2/24.1 ms); at 0.8 oracle W won on 11/16 and 10/16 scenes in two
+# more runs. At 0.5 deflation lost on all 28 scenes, so CG_MIN_ALPHA
+# stays below it. Its fixed cost at 64x64 is about 9 ms of `_tile_space`
+# plus 0.3 ms of preconditioning per iteration.
+DEFLATE_MIN_ALPHA = 0.85
+
+# A pair (i, j) inside one deflation tile is strong when S_ij >= this
+# times min(max_k S_ik, max_k S_jk) (see `_tile_space`). At 64x64, R5,
+# alpha 0.99, every value from 0.001 to 0.5 gave the same aggregates: a
+# median of 308.5 for 256 tiles and 11 products on 16 oracle scenes, and
+# no split on 12 learned-W ones (12 products). 0.7 split learned W into
+# 301.5 aggregates for 11 products at equal time; 0.9 made 1663 on oracle
+# W and 665 on learned W, whose solves then took 2.2 and 1.3 times as
+# long. At 375x500 (one scene), 0.1 and 0.5 made the same 12,094 oracle
+# aggregates, and 0.7 split learned W into 12,038 for 11 products
+# against 13 at equal solve time (1.40 against 1.35 s).
+STRONG_PAIR = 0.1
 
 
 @dataclass
@@ -150,17 +169,25 @@ def diffuse_to_convergence(a: TransitionMatrix, f: np.ndarray,
         iterations=cfg.max_iterations)
 
 
-def _tile_space(pattern: SparsityPattern, k_h: sp.csr_matrix,
-                root: np.ndarray):
-    """Z (Z_ip = root_i for pixel i in tile p), Z - KZ and x -> E^-1 x,
+def _tile_space(a: TransitionMatrix, k_h: sp.csr_matrix, root: np.ndarray):
+    """Z (Z_ip = root_i for pixel i in aggregate p), Z - KZ and x -> E^-1 x,
     E = Z^T K Z, for K = I + K_h + K_h^T. Z - KZ = -(K_h Z + K_h^T Z),
     one sparse product each way.
 
-    Tiles are t x t pixels, t = max(4, ceil(R / 2)), whatever the image
-    size: small aggregates hold the slow, piecewise-constant modes. Each
-    pixel's neighbors then lie within two tiles per axis, so E, in
-    row-major tile order, is zero beyond min(2, down - 1) across + 2
-    bands, and one banded Cholesky factor solves it. At 64x64, R5,
+    The aggregates are the connected components of W's strong pairs
+    inside each tile. Tiles are t x t pixels, t = max(4, ceil(R / 2)),
+    whatever the image size, and the pair (i, j) is strong when S_ij >=
+    STRONG_PAIR min(max_k S_ik, max_k S_jk). So a tile that a segment
+    boundary crosses splits along it, and one that no strong boundary
+    crosses stays one aggregate: on learned W no tile splits. Only the
+    offsets with |dy|, |dx| < t join two pixels of one tile, and their
+    windows give the strong pairs as masks, over which min-label
+    propagation labels each component by its least pixel. Aggregates are
+    ordered by tile, row-major, then by that pixel. A pixel's neighbors
+    lie within two tiles per axis, so E is banded; its band is read from
+    E's non-zeros, and one banded Cholesky factor solves it.
+
+    Small tiles hold the slow, piecewise-constant modes. At 64x64, R5,
     alpha 0.99 4 x 4 tiles took 37 products and 8 x 8 tiles 47 (oracle
     W). Tiles that grow with the image lose more: a term ceil(max(h, w)
     / 16), which kept p <= 256, made 32 x 32 tiles at 375x500. Against
@@ -172,22 +199,65 @@ def _tile_space(pattern: SparsityPattern, k_h: sp.csr_matrix,
       256x256      83 -> 51, 1.55 -> 1.19 s    31 -> 13, 0.69 -> 0.42 s
       375x500      81 -> 40, 4.34 -> 3.13 s    52 -> 13, 3.21 -> 1.40 s
 
-    At 375x500 that is 11,750 tiles. The set-up takes 0.22-0.26 s
-    against 0.07-0.08 s, and peak RSS rose 25-40 MB: E's factor, (2
-    across + 3) p doubles or about n w / 4 bytes, holds 23.8 MB. On one
-    tile row a band of p - 1 would be dense: at 4x4000 the 2 bands took
-    49 ms and 6 MB of RSS against 136 ms and 26.5 MB."""
+    At 375x500 that is 11,750 tiles; E's factor, (band + 1) p doubles,
+    is about n w / 4 bytes there. Split by their strong pairs (alpha
+    0.99, R5), oracle W took a median of 37 -> 11 products on perfbench's
+    64 scenes at 64x64, with 308.5 aggregates for 256 tiles, and 36 -> 11
+    at 375x500, with 12,094 for 11,750, where the solve went 3.7-4.3 ->
+    1.3-1.5 s. The set-up took about 9 against 5 ms at 64x64 and 0.28 s
+    either way at 375x500. Learned W splits no tile, so its products
+    stay (13 at 375x500)."""
+    pattern = a.pattern
+    height, width = pattern.height, pattern.width
     side = max(4, -(-pattern.radius // 2))
-    down, across = -(-pattern.height // side), -(-pattern.width // side)
-    y, x = np.divmod(np.arange(pattern.num_pixels), pattern.width)
-    z = sp.csr_matrix((root[:, 0], y // side * across + x // side,
-                       np.arange(y.size + 1)), shape=(y.size, down * across))
+    inv_root = (1.0 / root).reshape(height, width)
+    peak, windows = np.zeros((height, width)), []  # peak_i = max_k S_ik
+    for src, dst, slots in pattern.windows:
+        w = a.weights[slots].reshape(src[0].stop - src[0].start, -1)
+        np.maximum(peak[src], w * inv_root[dst], out=peak[src])
+        np.maximum(peak[dst], w * inv_root[src], out=peak[dst])
+        windows.append((src, dst, w))
+    peak *= inv_root
+    (tile_y, in_y), (tile_x, in_x) = (np.divmod(np.arange(size), side)
+                                      for size in (height, width))
+    # a label is a pixel of the tile, t y + x there; x | weak = weak,
+    # which lies above every label
+    local = np.min_scalar_type(side * side)
+    weak = np.iinfo(local).max
+    links = []  # per offset that fits in a tile, `cut` is 0 on the pairs
+    for src, dst, w in windows:  # that are strong and in one tile
+        dy, dx = dst[0].start - src[0].start, dst[1].start - src[1].start
+        if dy < side and abs(dx) < side:
+            strong = w * inv_root[src] * inv_root[dst] >= STRONG_PAIR * (
+                np.minimum(peak[src], peak[dst]))
+            strong &= (tile_y[src[0]] == tile_y[dst[0]])[:, None]
+            strong &= tile_x[src[1]] == tile_x[dst[1]]
+            links.append((src, dst, np.where(strong, 0, weak).astype(local)))
+    label = np.add.outer(in_y * side, in_x).astype(local)
+    while True:  # labels only fall, so a round that changes none leaves
+        before = label.copy()  # both pixels of every strong pair equal
+        for src, dst, cut in links:
+            np.minimum(label[src], label[dst] | cut, out=label[src])
+            np.minimum(label[dst], label[src] | cut, out=label[dst])
+        if np.array_equal(label, before):
+            break
+    # the (tile, label) pairs in order number the aggregates
+    key = (np.add.outer(tile_y * -(-width // side), tile_x) * side * side
+           + label).ravel()
+    used = np.zeros(key.max() + 1, dtype=bool)
+    used[key] = True
+    index = np.cumsum(used) - 1
+    z = sp.csr_matrix((root[:, 0], index[key], np.arange(key.size + 1)),
+                      shape=(key.size, index[-1] + 1))
     leak = -(k_h @ z + k_h.T @ z)
-    e = z.T @ (z - leak)
-    bands = min(min(2, down - 1) * across + 2, down * across - 1)
+    e = (z.T @ (z - leak)).tocoo()
+    upper = e.col >= e.row
+    rows, cols = e.row[upper], e.col[upper]
+    bands = int((cols - rows).max(initial=0))
     # E's upper band, its k-th diagonal in row bands - k
-    factor = cholesky_banded([np.pad(e.diagonal(k), (k, 0))
-                              for k in range(bands, -1, -1)])
+    band = np.zeros((bands + 1, z.shape[1]))
+    band[bands - (cols - rows), cols] = e.data[upper]
+    factor = cholesky_banded(band)
     return z, leak, lambda r: cho_solve_banded((factor, False), r)
 
 
@@ -197,13 +267,13 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
     per class with its own step and beta, with K = I - alpha S applied and
     stopped as the module docstring says. Returns y = (1 - alpha) D^-1/2 z
     and a report dict: the `products` with S, the `iterations`, the
-    `restarts`, the final error `bound` and the coarse space's `tiles` p
-    (0 without one). `coarse_space(pattern, K_h, root)` gives (Z, Z - KZ,
-    x -> E^-1 x), see `_tile_space`; None runs plain CG. Every step
-    preconditions by A-DEF2, s = r + Z E^-1 (Z - KZ)^T r, and a (re)start
-    is that step with beta = 0, after z += Z u. `transition` gives a row
-    without neighbors degree 1, so S is zero there and y = (1 - alpha) f,
-    as in the loop.
+    `restarts`, the final error `bound` and the coarse space's
+    `aggregates` p (0 without one). `coarse_space(a, K_h, root)` gives
+    (Z, Z - KZ, x -> E^-1 x), see `_tile_space`; None runs plain CG.
+    Every step preconditions by A-DEF2, s = r + Z E^-1 (Z - KZ)^T r, and
+    a (re)start is that step with beta = 0, after z += Z u. `transition`
+    gives a row without neighbors degree 1, so S is zero there and y =
+    (1 - alpha) f, as in the loop.
     """
     f = _check_scores(a, f)
     alpha, n = cfg.alpha, a.num_pixels
@@ -223,10 +293,11 @@ def _symmetric_cg(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig,
                     kx)
         return kx
 
-    report = dict(products=0, iterations=0, restarts=0, bound=0.0, tiles=0)
+    report = dict(products=0, iterations=0, restarts=0, bound=0.0,
+                  aggregates=0)
     if coarse_space:
-        z_c, leak, coarse_solve = coarse_space(a.pattern, k_h, root)
-        report["tiles"] = z_c.shape[1]
+        z_c, leak, coarse_solve = coarse_space(a, k_h, root)
+        report["aggregates"] = z_c.shape[1]
     b = root * f
     z = b / (1.0 - alpha)  # y = f, the loop's starting point
     r, recomputed, rr = b - apply(z), True, None
@@ -300,7 +371,7 @@ def dense_oracle_solve(a: TransitionMatrix, f: np.ndarray,
 def solve(a: TransitionMatrix, f: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """The damped fixed point (1 - alpha) (I - alpha A)^-1 f: by the loop
     below CG_MIN_ALPHA or where W is not exactly symmetric, else by
-    conjugate gradients, deflated by tiles from DEFLATE_MIN_ALPHA on."""
+    conjugate gradients, deflated from DEFLATE_MIN_ALPHA on."""
     return _solve(a, f, cfg)[0]
 
 

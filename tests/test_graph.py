@@ -461,7 +461,8 @@ def test_run_plan_partitions_the_blocks():
     and the blocks, bands of whole window rows, tile the first half of
     `rows`/`cols`. At 32x32, R40 no window exceeds the cap, so each
     block is a whole offset; at 64x64, R5 the 40 offset windows are cut
-    into 170 bands."""
+    into 170 bands. `windows` joins each offset's bands back into its
+    window, one per offset of `neighbor_offsets`, in order."""
     cap = graph._RUN_EDGES
     small = [(h, w, r) for h in range(1, 13) for w in range(1, 13)
              for r in range(1, 7)]
@@ -487,6 +488,19 @@ def test_run_plan_partitions_the_blocks():
             np.testing.assert_array_equal(dst.ravel(),
                                           pattern.cols[covered:block.stop])
             covered = block.stop
+        assert covered == half
+        offsets = graph.neighbor_offsets(h, w, r)
+        assert len(pattern.windows) == len(offsets)
+        covered = 0
+        for (src, dst, slots), (dy, dx) in zip(pattern.windows, offsets):
+            assert slots.start == covered
+            assert (dst[0].start - src[0].start,
+                    dst[1].start - src[1].start) == (dy, dx)
+            np.testing.assert_array_equal(pixels[src].ravel(),
+                                          pattern.rows_h[slots])
+            np.testing.assert_array_equal(pixels[dst].ravel(),
+                                          pattern.cols_h[slots])
+            covered = slots.stop
         assert covered == half
     offsets = {(b.dst[0].start - b.src[0].start, b.dst[1].start - b.src[1].start)
                for b in build_sparsity(32, 32, 40).blocks}

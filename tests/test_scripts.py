@@ -67,5 +67,7 @@ def test_paper_size_measurement_runs_small():
         assert set(line["certified"]) == {"scores", "sweep", "fallback"}
         assert sum(line["certified"].values()) == 24 * 24
     assert lines[0]["labels_sha256"] == lines[1]["labels_sha256"]
-    assert lines[2]["cg"]["tiles"] == lines[3]["cg"]["tiles"] == 36
+    # 36 tiles: learned W splits none, oracle W splits those its
+    # segment boundaries cross
+    assert lines[2]["cg"]["aggregates"] == 36 < lines[3]["cg"]["aggregates"]
     assert lines[3]["stages_s"]["features"] == 0.0

@@ -268,7 +268,7 @@ def spy_on_conjugate_gradients(monkeypatch):
 def test_solve_is_the_route_table(monkeypatch):
     """Through `solve` only: the loop just below CG_MIN_ALPHA and on
     per-edge W at any alpha, plain conjugate gradients from CG_MIN_ALPHA
-    to just below DEFLATE_MIN_ALPHA, and tile-deflated ones from it on."""
+    to just below DEFLATE_MIN_ALPHA, and deflated ones from it on."""
     reports = spy_on_conjugate_gradients(monkeypatch)
     pair = symmetric_transition(8, 8, 2, seed=15)
     edge = symmetric_transition(8, 8, 2, seed=15, symmetric=False)
@@ -288,7 +288,7 @@ def test_solve_is_the_route_table(monkeypatch):
                 y, diffuse_to_convergence(a, f, cfg)[0])
         else:
             assert len(reports) == 1
-            assert (reports[0]["tiles"] > 0) == deflated
+            assert (reports[0]["aggregates"] > 0) == deflated
 
 
 def test_bench_times_the_route_solve_takes(monkeypatch):
@@ -300,7 +300,7 @@ def test_bench_times_the_route_solve_takes(monkeypatch):
                                 cfg=SolverConfig(alpha=0.99), repeats=1)
     assert [row.iters for row in bench.rows] == [
         report["iterations"] for report in reports]
-    assert all(report["tiles"] > 0 for report in reports)
+    assert all(report["aggregates"] > 0 for report in reports)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -372,10 +372,12 @@ def test_oracle_scene_at_large_alpha_meets_tolerance(monkeypatch):
 
 
 def test_deflation_cuts_products_on_an_oracle_scene():
-    """At alpha 0.99 the tile coarse space takes the 32 x 32 oracle scene's
-    slow modes out of the solve: it needs at most 0.65 times the products
+    """At alpha 0.99 the coarse space takes the 32 x 32 oracle scene's
+    slow modes out of the solve: it needs at most 0.35 times the products
     of plain conjugate gradients, and lands as close to the dense solve
-    with the same labels."""
+    with the same labels. On oracle W the strong pairs of a 4 x 4 tile are
+    its same-label pairs, all within R5 of each other, so the aggregates
+    are the tiles' label classes: 89 of them in 64 tiles."""
     (_, labels), = generate(SceneSpec(32, 32, seed=1), 1)
     damaged, _ = oracle_scene(labels, CorruptionConfig(seed=0), 4)
     a = oracle_transition(labels, 5)
@@ -384,11 +386,69 @@ def test_deflation_cuts_products_on_an_oracle_scene():
     assert cfg.alpha >= DEFLATE_MIN_ALPHA
     y, report = _symmetric_cg(a, damaged, cfg, _tile_space)
     y_plain, plain = _symmetric_cg(a, damaged, cfg, coarse_space=None)
-    assert report["tiles"] == 64 and plain["tiles"] == 0
-    assert report["products"] <= 0.65 * plain["products"]
+    tiles = tile_of(32, 32, 5)
+    assert report["aggregates"] == np.unique(
+        tiles * 4 + labels.ravel()).size == 89
+    assert plain["aggregates"] == 0
+    assert report["products"] <= 0.35 * plain["products"]
     assert np.max(np.abs(y - exact)) < 1e-6
     np.testing.assert_array_equal(np.argmax(y, 1), np.argmax(y_plain, 1))
     np.testing.assert_array_equal(np.argmax(y, 1), np.argmax(exact, 1))
+
+
+def tile_of(height, width, radius):
+    """Each pixel's tile, row-major, in tiles of max(4, ceil(R / 2))
+    pixels a side."""
+    side = max(4, -(-radius // 2))
+    y, x = np.divmod(np.arange(height * width), width)
+    return y // side * -(-width // side) + x // side
+
+
+def segment_transition(labels, radius, weak, seed):
+    """Random affinities, uniform in [0.2, 2] per pixel pair, times `weak`
+    on the pairs whose pixels' `labels` differ: oracle W has them 1 and
+    1e-6."""
+    flat = np.ravel(labels)
+    pattern = build_sparsity(*np.shape(labels), radius)
+    same = flat[pattern.rows_h] == flat[pattern.cols_h]
+    w = np.random.default_rng(seed).uniform(0.2, 2.0, pattern.num_pairs)
+    return transition(pattern, w * np.where(same, 1.0, weak))
+
+
+def coarse_space_and_k(a, alpha=0.99):
+    """`_tile_space` on the K_h that conjugate gradients form, and the
+    dense K = I - alpha S = I + K_h + K_h^T."""
+    root = np.sqrt(a.degree)[:, None]
+    k = np.eye(a.num_pixels) - alpha * root * a.dense() / root.T
+    p, n = a.pattern, a.num_pixels
+    k_h = sp.csr_matrix(sp.coo_matrix(
+        (-alpha * a.weights / root[p.rows_h, 0] / root[p.cols_h, 0],
+         (p.rows_h, p.cols_h)), shape=(n, n)))
+    return _tile_space(a, k_h, root), root, k
+
+
+def assert_galerkin(a, space, root, k):
+    """Against the dense K: Z - leak is K Z, Z has one entry, root_i, per
+    pixel, the coarse solve inverts E = Z^T K Z, and E is zero between
+    aggregates whose tiles lie more than min(2, down - 1) across + 2
+    apart in row-major order, the band its factor relies on."""
+    z, leak, coarse_solve = space
+    z = z.toarray()
+    np.testing.assert_array_equal(np.count_nonzero(z, 1), 1)
+    np.testing.assert_array_equal(z.sum(1), root[:, 0])
+    np.testing.assert_allclose(z - leak.toarray(), k @ z, atol=1e-12)
+    e = z.T @ k @ z
+    p = a.pattern
+    side = max(4, -(-p.radius // 2))
+    down, across = -(-p.height // side), -(-p.width // side)
+    tile = np.zeros(z.shape[1], dtype=int)
+    tile[np.argmax(z != 0, axis=1)] = tile_of(p.height, p.width, p.radius)
+    gap = np.abs(tile[:, None] - tile[None, :])
+    np.testing.assert_array_equal(
+        e[gap > min(2, down - 1) * across + 2], 0.0)
+    np.testing.assert_allclose(coarse_solve(e), np.eye(z.shape[1]),
+                               atol=1e-9)
+    return z
 
 
 @pytest.mark.parametrize("h, w, r, tiles", [(12, 13, 5, 12), (20, 20, 9, 16),
@@ -396,31 +456,112 @@ def test_deflation_cuts_products_on_an_oracle_scene():
                                            (36, 40, 3, 90), (12, 100, 3, 75),
                                            (3, 100, 3, 25), (6, 24, 3, 12)])
 def test_tile_space_is_the_galerkin_coarse_space(h, w, r, tiles):
-    """Against a dense K = I - alpha S = I + K_h + K_h^T: Z - leak is K Z,
-    the coarse solve inverts E = Z^T K Z, and Z has one entry, root_i, per
-    pixel, in tiles of max(4, ceil(R / 2)) pixels a side, whatever the
-    image size. In row-major tile order E is zero beyond min(2, down - 1)
-    across + 2 bands, which its banded factor relies on: 90 tiles give it
-    22, one row of 25 tiles 2 and two rows of 6 tiles 8."""
+    """On random W with no weak pair no tile splits, so the aggregates are
+    the tiles of max(4, ceil(R / 2)) pixels a side, whatever the image
+    size, and the space is the Galerkin one (`assert_galerkin`). The tile
+    band min(2, down - 1) across + 2 is 22 for 90 tiles, 2 on one row of
+    25 tiles and 8 on two rows of 6."""
     a = symmetric_transition(h, w, r, seed=14)
-    root = np.sqrt(a.degree)[:, None]
-    k = np.eye(a.num_pixels) - 0.99 * root * a.dense() / root.T
-    p, n = a.pattern, a.num_pixels
-    k_h = sp.csr_matrix(sp.coo_matrix(
-        (-0.99 * a.weights / root[p.rows_h, 0] / root[p.cols_h, 0],
-         (p.rows_h, p.cols_h)), shape=(n, n)))
-    z, leak, coarse_solve = _tile_space(p, k_h, root)
-    z = z.toarray()
+    space, root, k = coarse_space_and_k(a)
+    z = assert_galerkin(a, space, root, k)
     assert z.shape == (a.num_pixels, tiles)
-    np.testing.assert_array_equal(np.count_nonzero(z, 1), 1)
-    np.testing.assert_array_equal(z.sum(1), root[:, 0])
-    np.testing.assert_allclose(z - leak.toarray(), k @ z, atol=1e-12)
-    e = z.T @ k @ z
-    side = max(4, -(-r // 2))
-    bands = min(2, -(-h // side) - 1) * -(-w // side) + 2
-    np.testing.assert_array_equal(np.triu(e, bands + 1), 0.0)
-    np.testing.assert_array_equal(np.tril(e, -bands - 1), 0.0)
-    np.testing.assert_allclose(coarse_solve(e), np.eye(tiles), atol=1e-9)
+    np.testing.assert_array_equal(np.argmax(z != 0, axis=1),
+                                  tile_of(h, w, r))
+
+
+def test_tile_space_splits_tiles_along_weak_pairs():
+    """On oracle-like two-level W (1e-6 across a segment boundary) a tile
+    that the boundary crosses splits into one aggregate per segment part,
+    ordered by tile, then by least pixel, and the space is still the
+    Galerkin one."""
+    labels = np.zeros((10, 11), dtype=int)
+    labels[np.add.outer(np.arange(10), np.arange(11)) > 9] = 1  # diagonal
+    labels[7:, :3] = 2
+    a = segment_transition(labels, 5, 1e-6, seed=17)
+    space, root, k = coarse_space_and_k(a)
+    z = assert_galerkin(a, space, root, k)
+    tiles = tile_of(10, 11, 5)
+    keys = tiles * 3 + labels.ravel()
+    assert z.shape[1] == np.unique(keys).size > tiles.max() + 1
+    aggregate = np.argmax(z != 0, axis=1)
+    for index in np.unique(aggregate):  # one (tile, label) class each
+        assert np.unique(keys[aggregate == index]).size == 1
+    first = [np.flatnonzero(aggregate == index)[0]
+             for index in range(z.shape[1])]
+    assert sorted(first, key=lambda i: (tiles[i], i)) == first
+
+
+def reference_aggregates(a):
+    """Connected components of the strong pairs of `a` inside each tile,
+    by scipy's graph labelling from the pair list: an aggregate index per
+    pixel, and the tiles with a weak pair inside them."""
+    from scipy.sparse.csgraph import connected_components
+
+    p, n = a.pattern, a.num_pixels
+    inv_root = 1.0 / np.sqrt(a.degree)
+    # products in `_tile_space`'s order, so that both round alike
+    s = a.weights * inv_root[p.rows_h] * inv_root[p.cols_h]
+    peak = np.zeros(n)
+    np.maximum.at(peak, p.rows_h, a.weights * inv_root[p.cols_h])
+    np.maximum.at(peak, p.cols_h, a.weights * inv_root[p.rows_h])
+    peak *= inv_root
+    tile = tile_of(p.height, p.width, p.radius)
+    inside = tile[p.rows_h] == tile[p.cols_h]
+    strong = s >= solver.STRONG_PAIR * np.minimum(peak[p.rows_h],
+                                                  peak[p.cols_h])
+    joined = inside & strong
+    graph = sp.coo_matrix((np.ones(joined.sum()),
+                           (p.rows_h[joined], p.cols_h[joined])),
+                          shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    return component, np.unique(tile[p.rows_h[inside & ~strong]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 10), w=st.integers(1, 10), r=st.integers(1, 10),
+       classes=st.integers(1, 3), weak=st.sampled_from([1.0, 0.3, 1e-3, 1e-6]),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=1, r=1, classes=1, weak=1.0, seed=0)  # no pairs
+@example(h=1, w=10, r=2, classes=2, weak=1e-6, seed=1)  # one grid row
+@example(h=3, w=4, r=10, classes=2, weak=1e-6, seed=2)  # R beyond the image
+@example(h=4, w=4, r=3, classes=3, weak=1e-3, seed=3)  # a single tile
+@example(h=8, w=8, r=1, classes=3, weak=1e-6, seed=4)  # isolated pixels
+@example(h=9, w=10, r=5, classes=2, weak=0.3, seed=5)
+def test_aggregates_are_the_strong_components_of_each_tile(h, w, r, classes,
+                                                           weak, seed):
+    """Each aggregate lies in one tile, its pixels are joined by strong
+    pairs inside it (S_ij >= STRONG_PAIR min(max_k S_ik, max_k S_jk)),
+    and it is maximal: the aggregates are the components scipy's graph
+    labelling finds, in tile order, then by least pixel. A tile with no
+    weak pair inside is one aggregate. Conjugate gradients deflated by
+    them land within `tolerance` of the dense damped fixed point at alpha
+    0.97 and 0.99. The W are random, times `weak` across the segments of
+    random labels, so that pixels whose in-tile pairs are all weak stand
+    alone."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, (h, w))
+    a = segment_transition(labels, r, weak, seed)
+    (z, _, _), _, _ = coarse_space_and_k(a)
+    aggregate = z.indices
+    component, split = reference_aggregates(a)
+    tile = tile_of(h, w, r)
+    pairs = np.unique(np.stack([aggregate, component, tile]), axis=1)
+    assert pairs.shape[1] == z.shape[1]  # one component and tile each
+    assert np.unique(pairs[1]).size == z.shape[1]  # and all of it
+    assert np.all(np.diff(pairs[0]) > 0)
+    first = np.array([np.flatnonzero(aggregate == index)[0]
+                      for index in range(z.shape[1])])
+    assert np.all(np.diff(tile[first] * a.num_pixels + first) > 0)
+    whole = ~np.isin(tile, split)
+    np.testing.assert_array_equal(
+        np.unique(np.stack([tile[whole], aggregate[whole]]), axis=1)[0],
+        np.unique(tile[whole]))
+    f = rng.standard_normal((a.num_pixels, 3))
+    for alpha in (0.97, 0.99):
+        cfg = SolverConfig(alpha=alpha)
+        y, _ = _symmetric_cg(a, f, cfg, _tile_space)
+        exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
+        assert np.max(np.abs(y - exact)) < cfg.tolerance
 
 
 def test_accuracy_improves_monotonically_with_steps():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -442,3 +444,30 @@ def test_predict_labels_on_one_pixel():
             assert counts == dict(scores=1, sweep=0, fallback=0)
             expected, _ = pipeline.predict(ckpt, image, steps, 2, cfg)
             assert labels.tolist() == expected.tolist() == [[1]]
+
+
+def test_the_walk_runs_without_the_feature_stack(monkeypatch):
+    """`predict` and the labels route's fallback drop the feature stack
+    once W is built, so that no stack is alive while the walk runs."""
+    stacks, alive = [], []
+    prepare, diffuse = pipeline.prepare_stack, pipeline.diffuse
+
+    def keep(*args):
+        stack = prepare(*args)
+        stacks.append(weakref.ref(stack))
+        return stack
+
+    def check(*args):
+        gc.collect()
+        alive.append(any(ref() is not None for ref in stacks))
+        return diffuse(*args)
+    monkeypatch.setattr(pipeline, "prepare_stack", keep)
+    monkeypatch.setattr(pipeline, "diffuse", check)
+    rng = np.random.default_rng(8)
+    ckpt = tiny_checkpoint(rng, 3, tied=True)  # an exact tie falls back
+    image = rng.uniform(0.0, 1.0, (6, 7, 3))
+    cfg = SolverConfig(alpha=0.7)
+    pipeline.predict(ckpt, image, "converge", 2, cfg)
+    _, counts = pipeline.predict_labels(ckpt, image, "converge", 2, cfg)
+    assert counts["fallback"] > 0
+    assert alive == [False, False]
