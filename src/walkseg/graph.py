@@ -9,18 +9,19 @@ offset-major order of `SparsityPattern`. Patterns are memoised on
 walk's transition matrix is the row normalization A = D^-1 W.
 
 The pattern is translation-invariant, which the learned affinities use.
-A neighbor offset o = (dy, dx) joins every pixel p of one rectangular
-window of the grid to p + o, so the per-channel minima of its pairs
-form one block min(S[window], S[window + o]) of at most h*w rows,
-sliced from the (h, w, k) feature stack S. As |a - b| = a + b -
-2 min(a, b), the head's theta . |S_i - S_j| is u_i + u_j - 2 theta .
-min(S_i, S_j) with u = S theta, so no distance is formed. One
-enumeration of the offsets > (0, 0), `neighbor_offsets`, lists the pairs
-(p, p + o) block by block and plans the head's runs: windows of more
-than `_RUN_EDGES` pairs are cut into bands of whole rows, and
-consecutive blocks grouped into runs of at most that many (1 MiB of
-minima at k = 131), which `learned_affinity` and its backward pass work
-through. The backward needs only each pair's weight g = W_ij dW_ij +
+Seen as one (h*w, k) array F of the feature stack, the pair (p, p + o)
+of a neighbor offset o = (dy, dx) is the pair (p, p + s) of the flat
+shift s = dy w + dx, so the per-channel minima of all the pairs of one
+shift are contiguous: min(F[a:b], F[a + s:b + s]) over bands of pixels.
+A shift s = dy0 w + dx0 (0 <= dx0 < w) holds up to two offsets: (dy0,
+dx0) for the columns x < w - dx0 and (dy0 + 1, dx0 - w) for the rest.
+As |a - b| = a + b - 2 min(a, b), the head's theta . |S_i - S_j| is
+u_i + u_j - 2 theta . min(S_i, S_j) with u = S theta, so no distance is
+formed. One enumeration of the offsets > (0, 0), `neighbor_offsets`,
+lists the pairs (p, p + o) window by window, and the pattern's shift
+plan maps each shift's per-pixel results back to its offsets' windows;
+`learned_affinity`, its backward and `walk.rw_backward_pairs` work
+through it. The backward needs only each pair's weight g = W_ij dW_ij +
 W_ji dW_ji; training takes dW's pair sums from `walk.rw_backward_pairs`.
 Where only a few pixels need their rows of W, `neighbor_affinity`
 gathers their pairs from the same offsets, without the pattern.
@@ -34,7 +35,6 @@ with `affinity_loss_grad`.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,28 +43,17 @@ import scipy.sparse as sp
 from .errors import InvalidInputError
 
 
-# a run of minima holds at most this many edges (1 MiB of float64 at
-# 131 channels), unless a single grid row holds more (see `SparsityPattern`)
+# the minima of one shift are taken this many pixels at a time (0.5 MiB
+# at 131 channels). At 32x32, R40 (random 131-channel stack, medians of
+# 15, 2-core host) forward / backward took 46.2 / 49.8 ms at 128 pixels,
+# 42.1 / 44.7 at 256, 41.4 / 43.3 at 512 and 44.3 / 45.3 at 1000; at
+# 64x64, R5 13.6-13.7 / 14.2-14.4 at 256 and 512, 15.4-16.3 otherwise
+_BAND_ROWS = 512
+
+# `neighbor_affinity` gathers its rows this many edges at a time
 _RUN_EDGES = 1000
 
 _EPS = np.finfo(np.float64).eps
-
-
-@dataclass
-class OffsetBlock:
-    """A band of whole window rows of one offset o = (dy, dx) > (0, 0),
-    and of its mirror -o.
-
-    Offset o joins each pixel of the grid window `src` (a pair of row
-    and column slices) to the pixel at the same place in `dst`, which is
-    `src` shifted by o. These pairs take the slots `start:stop`,
-    row-major over `src`.
-    """
-
-    src: tuple
-    dst: tuple
-    start: int
-    stop: int
 
 
 @dataclass
@@ -73,19 +62,16 @@ class SparsityPattern:
 
     Pair slot t joins the pixels rows_h[t] and cols_h[t], in offset-major
     order: the pairs (p, p + o) of every offset o > (0, 0) in ascending
-    (dy, dx) order, listed by `blocks`. Edge slot e is the directed pair
-    (rows[e], cols[e]): the pairs, then their mirrors, so an edge array
-    ``v`` is symmetric iff ``v[:half] == v[half:]``. `rows` and `cols`
-    are built on first read and kept, and so is `row_order`, the pair
-    slots in row order, through which the solver stores a pair array as
-    one CSR matrix.
-
-    The pattern carries the run plan of the learned affinities. An
-    offset's window is one block, or, where it holds more than
-    `_RUN_EDGES` pairs, row bands of at most that many (one grid row at
-    least). `runs` groups consecutive blocks into runs of at most
-    `_RUN_EDGES` pairs, of which only a one-row band can hold more, and
-    `blocks` is their concatenation.
+    (dy, dx) order. `windows` lists them, one (src, dst, slots) per
+    offset: the grid window `src` (a pair of row and column slices) whose
+    pixels have their neighbor at the same place in `dst`, `src` shifted
+    by o, and the slots of these pairs, row-major over `src`. Edge slot e
+    is the directed pair (rows[e], cols[e]): the pairs, then their
+    mirrors, so an edge array ``v`` is symmetric iff ``v[:half] ==
+    v[half:]``. `rows` and `cols` are built on first read and kept, and
+    so are `row_order`, the pair slots in row order, through which the
+    solver stores a pair array as one CSR matrix, and `shifts`, the
+    shift plan of the learned affinities.
 
     ``indptr[i + 1] - indptr[i]`` is pixel i's neighbor count. Index
     arrays are int32 where the edge count fits, the type scipy keeps
@@ -98,8 +84,7 @@ class SparsityPattern:
     indptr: np.ndarray
     rows_h: np.ndarray
     cols_h: np.ndarray
-    blocks: list = field(repr=False)
-    runs: list = field(repr=False)
+    windows: tuple = field(repr=False)
 
     @property
     def num_pixels(self) -> int:
@@ -122,25 +107,24 @@ class SparsityPattern:
         return _read_only(np.concatenate((self.cols_h, self.rows_h)))
 
     @functools.cached_property
-    def windows(self) -> list:
-        """One (src, dst, slots) per offset o > (0, 0), in `blocks`'
-        order: its whole window `src`, the window `dst` shifted by o and
-        the slots of its pairs, row-major over `src`, the concatenation
-        of its blocks."""
-        def offset(block):  # dy and the two column slices fix o
-            return (block.dst[0].start - block.src[0].start, block.src[1],
-                    block.dst[1])
-
-        windows = []
-        for _, group in itertools.groupby(self.blocks, offset):
-            group = list(group)
-            first, last = group[0], group[-1]
-            windows.append(((slice(first.src[0].start, last.src[0].stop),
-                             first.src[1]),
-                            (slice(first.dst[0].start, last.dst[0].stop),
-                             first.dst[1]),
-                            slice(first.start, last.stop)))
-        return windows
+    def shifts(self) -> tuple:
+        """The shift plan: one (s, span, parts) per flat shift s = dy w
+        + dx of the offsets, ascending. Value p of a per-pixel vector
+        over the shift belongs to the pair (p, p + s), and seen as an
+        h x w grid its part of offset o is o's window: each of `parts`
+        is an offset's (src, slots) from `windows`. `span` is the slice
+        of pixels from the first part's first pair to the last part's
+        last; the pairs in it that no part holds are junk."""
+        width, plan = self.width, {}
+        for src, dst, slots in self.windows:
+            s = ((dst[0].start - src[0].start) * width
+                 + dst[1].start - src[1].start)
+            plan.setdefault(s, []).append((src, slots))
+        return tuple(
+            (s, slice(min(r.start * width + c.start for (r, c), _ in parts),
+                      max((r.stop - 1) * width + c.stop
+                          for (r, c), _ in parts)), tuple(parts))
+            for s, parts in sorted(plan.items()))
 
     @functools.cached_property
     def row_order(self) -> tuple:
@@ -196,29 +180,19 @@ def build_sparsity(height: int, width: int, radius: int) -> SparsityPattern:
 @functools.lru_cache(maxsize=4)
 def _build_sparsity(height, width, radius):
     pixels = np.arange(height * width, dtype=np.int64).reshape(height, width)
-    blocks, runs, srcs, dsts = [], [], [], []
+    windows, srcs, dsts, stop = [], [], [], 0
     for dy, dx in neighbor_offsets(height, width, radius).tolist():
         # pixel (y, x) of the window has the neighbor (y + dy, x + dx)
         x0, x1 = max(0, -dx), width - max(0, dx)
-        step = max(1, _RUN_EDGES // (x1 - x0))
-        for y0 in range(0, height - dy, step):
-            y1 = min(y0 + step, height - dy)
-            start = blocks[-1].stop if blocks else 0
-            block = OffsetBlock(
-                (slice(y0, y1), slice(x0, x1)),
-                (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)),
-                start, start + (y1 - y0) * (x1 - x0))
-            if runs and block.stop - runs[-1][0].start <= _RUN_EDGES:
-                runs[-1].append(block)
-            else:
-                runs.append([block])
-            blocks.append(block)
-            srcs.append(pixels[block.src].ravel())
-            dsts.append(pixels[block.dst].ravel())
+        src = (slice(0, height - dy), slice(x0, x1))
+        dst = (slice(dy, height), slice(x0 + dx, x1 + dx))
+        start, stop = stop, stop + (height - dy) * (x1 - x0)
+        windows.append((src, dst, slice(start, stop)))
+        srcs.append(pixels[src].ravel())
+        dsts.append(pixels[dst].ravel())
 
     n = height * width
-    edges = 2 * (blocks[-1].stop if blocks else 0)
-    index = np.int32 if edges < 2 ** 31 else np.int64
+    index = np.int32 if 2 * stop < 2 ** 31 else np.int64
     empty = [np.empty(0, dtype=index)]
     rows_h = np.concatenate(srcs or empty, dtype=index)
     cols_h = np.concatenate(dsts or empty, dtype=index)
@@ -227,8 +201,8 @@ def _build_sparsity(height, width, radius):
     np.cumsum(np.bincount(rows_h, minlength=n)
               + np.bincount(cols_h, minlength=n), out=indptr[1:])
     return SparsityPattern(height, width, radius, _read_only(indptr),
-                           _read_only(rows_h), _read_only(cols_h), blocks,
-                           runs)
+                           _read_only(rows_h), _read_only(cols_h),
+                           tuple(windows))
 
 
 def _pixel_grid(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -251,30 +225,14 @@ def channel_distances(stack: np.ndarray, pattern: SparsityPattern) -> np.ndarray
     return np.abs(flat[pattern.rows] - flat[pattern.cols])
 
 
-def _minimum_runs(grid: np.ndarray, pattern: SparsityPattern):
-    """Yield (slots, minima) per run of `pattern.runs`: the slice of
-    pair slots the run covers and its pairs' per-channel minima
-    min(S[src], S[dst]) as (pairs, k) rows. Every run overwrites one
-    shared buffer, so a caller must be done with a run before asking
-    for the next."""
-    buffer = np.empty((max(_RUN_EDGES, pattern.width), grid.shape[2]))
-    for run in pattern.runs:
-        first = run[0].start
-        fmin = buffer[:run[-1].stop - first]
-        for block in run:
-            src = grid[block.src]
-            out = fmin[block.start - first:block.stop - first]
-            np.minimum(src, grid[block.dst], out=out.reshape(src.shape))
-        yield slice(first, run[-1].stop), fmin
-
-
 def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
                      theta: np.ndarray) -> np.ndarray:
     """Affinities W = exp(F theta), one per pixel pair of `pattern`.
 
     The log-affinity of the pair (i, j) is u_i + u_j - 2 theta .
-    min(S_i, S_j), u = S theta, with the minima taken a run of blocks at
-    a time (see `SparsityPattern`). Against the subtract-and-abs
+    min(S_i, S_j), u = S theta, with the minima of a shift taken
+    `_BAND_ROWS` pixels at a time, one gemv each (see
+    `SparsityPattern.shifts`). Against the subtract-and-abs
     ``affinity_forward(channel_distances(...), theta)`` it differs by
     both sides' length-k dot-product rounding, at worst (2k + 4) eps
     sum_c |theta_c| (|S_ic| + |S_jc|), eps the machine epsilon.
@@ -285,12 +243,19 @@ def learned_affinity(stack: np.ndarray, pattern: SparsityPattern,
     # one gemv per grid row: BLAS threads an n x k gemv, and in repeated
     # passes at 64x64 that took 8 against 0.2 ms (2-core host)
     u = (grid @ theta).ravel()
-    w = np.empty(pattern.num_pairs)
-    scale = -2.0 * theta  # exact
+    flat, scale = grid.reshape(u.size, -1), -2.0 * theta  # exact
+    w, logit = np.empty(pattern.num_pairs), np.empty(u.size)
+    fmin = np.empty((min(_BAND_ROWS, u.size), flat.shape[1]))
+    logit_grid = logit.reshape(grid.shape[:2])
     with np.errstate(over="ignore"):  # overflow to inf is caught in transition
-        for slots, fmin in _minimum_runs(grid, pattern):
-            w[slots] = (u.take(pattern.rows_h[slots])
-                        + u.take(pattern.cols_h[slots]) + fmin @ scale)
+        for s, span, parts in pattern.shifts:
+            for a in range(span.start, span.stop, _BAND_ROWS):
+                b = min(a + _BAND_ROWS, span.stop)
+                np.minimum(flat[a:b], flat[a + s:b + s], out=fmin[:b - a])
+                np.matmul(fmin[:b - a], scale, out=logit[a:b])
+            logit[span] += u[span] + u[span.start + s:span.stop + s]
+            for src, slots in parts:
+                w[slots].reshape(logit_grid[src].shape)[...] = logit_grid[src]
         np.exp(w, out=w)
     return w
 
@@ -346,18 +311,30 @@ def pair_affinity_backward(stack: np.ndarray, pattern: SparsityPattern,
     its two edges, indexed by the pair's slot.
 
     The pair (i, j) adds g (S_i + S_j - 2 min(S_i, S_j)), so dtheta =
-    S^T G - 2 sum_runs fmin^T g, with G_p the sum of g over the pairs at
-    pixel p. It rounds sums of g (|S_i| + |S_j|), not of g |S_i - S_j|.
-    Runs are summed in a fixed order, so repeated calls are bit-identical."""
+    S^T G - 2 sum_shifts g_s^T fmin_s, with G_p the sum of g over the
+    pairs at pixel p and g_s the per-pixel vector of shift s: g scattered
+    to its pairs by the shift plan, 0 at its junk. It rounds sums of g
+    (|S_i| + |S_j|), not of g |S_i - S_j|. Shifts and bands are summed in
+    a fixed order, so repeated calls are bit-identical."""
     grid = _pixel_grid(stack, pattern)
     n, pairs = pattern.num_pixels, pattern.num_pairs
     if g.shape != (pairs,):
         raise InvalidInputError(f"{g.shape} weights for {pairs} pixel pairs")
     pulls = (np.bincount(pattern.rows_h, weights=g, minlength=n)
              + np.bincount(pattern.cols_h, weights=g, minlength=n))
-    dmin = np.zeros(grid.shape[2])
-    for slots, fmin in _minimum_runs(grid, pattern):
-        dmin += fmin.T @ g[slots]
+    flat = grid.reshape(n, -1)
+    dmin, per_pixel = np.zeros(flat.shape[1]), np.empty(n)
+    fmin = np.empty((min(_BAND_ROWS, n), flat.shape[1]))
+    per_pixel_grid = per_pixel.reshape(grid.shape[:2])
+    for s, span, parts in pattern.shifts:
+        per_pixel[span] = 0.0
+        for src, slots in parts:
+            part = per_pixel_grid[src]
+            part[...] = g[slots].reshape(part.shape)
+        for a in range(span.start, span.stop, _BAND_ROWS):
+            b = min(a + _BAND_ROWS, span.stop)
+            np.minimum(flat[a:b], flat[a + s:b + s], out=fmin[:b - a])
+            dmin += per_pixel[a:b] @ fmin[:b - a]
     # S^T G without an n x k gemv, as for u in `learned_affinity`
     return (np.einsum("hwc,hw->c", grid, pulls.reshape(grid.shape[:2]))
             - 2.0 * dmin)

@@ -124,6 +124,15 @@ DEFLATE_MIN_ALPHA = 0.85
 # against 13 at equal solve time (1.40 against 1.35 s).
 STRONG_PAIR = 0.1
 
+# Tiles stay whole where splitting them would give E a factor, (band +
+# 1) p, of more than this many times the whole tiles' (see `_tile_space`).
+# Split against whole, at R5: perfbench's oracle scenes read at most
+# 2.44 (seeds 1 and 11), a 375x500 oracle scene 1.24, learned W 1 or less;
+# salt-and-pepper labels (4 classes drawn per pixel) 13-15 up to 128x128,
+# and at 375x500, alpha 0.99, 17 products against 96 took `ru_maxrss` 880
+# against 427 MB there, and 6.75 against 7.12 s (one process a side).
+COARSE_GROWTH = 4
+
 
 @dataclass
 class SolverConfig:
@@ -185,7 +194,11 @@ def _tile_space(a: TransitionMatrix, k_h: sp.csr_matrix, root: np.ndarray):
     propagation labels each component by its least pixel. Aggregates are
     ordered by tile, row-major, then by that pixel. A pixel's neighbors
     lie within two tiles per axis, so E is banded; its band is read from
-    E's non-zeros, and one banded Cholesky factor solves it.
+    E's non-zeros, and one banded Cholesky factor solves it. Before E is
+    built, its band is bounded by the largest aggregate gap over the
+    pairs, and by min(2, down - 1) across + 2 for whole tiles; where the
+    split factor, (band + 1) p, would exceed COARSE_GROWTH times the
+    whole one by these bounds, tiles stay whole (salt-and-pepper W).
 
     Small tiles hold the slow, piecewise-constant modes. At 64x64, R5,
     alpha 0.99 4 x 4 tiles took 37 products and 8 x 8 tiles 47 (oracle
@@ -242,11 +255,18 @@ def _tile_space(a: TransitionMatrix, k_h: sp.csr_matrix, root: np.ndarray):
         if np.array_equal(label, before):
             break
     # the (tile, label) pairs in order number the aggregates
-    key = (np.add.outer(tile_y * -(-width // side), tile_x) * side * side
-           + label).ravel()
-    used = np.zeros(key.max() + 1, dtype=bool)
-    used[key] = True
-    index = np.cumsum(used) - 1
+    down, across = -(-height // side), -(-width // side)
+    tile = np.add.outer(tile_y * across, tile_x).ravel()
+    whole = (min(min(2, down - 1) * across + 2, tile[-1]) + 1) * (tile[-1] + 1)
+    for key in (tile * side * side + label.ravel(), tile):
+        used = np.zeros(key.max() + 1, dtype=bool)
+        used[key] = True
+        index = np.cumsum(used) - 1
+        aggregate = index[key].reshape(height, width)
+        gap = max((int(np.abs(aggregate[dst] - aggregate[src]).max())
+                   for src, dst, _ in windows), default=0)
+        if (gap + 1) * (index[-1] + 1) <= COARSE_GROWTH * whole:
+            break
     z = sp.csr_matrix((root[:, 0], index[key], np.arange(key.size + 1)),
                       shape=(key.size, index[-1] + 1))
     leak = -(k_h @ z + k_h.T @ z)

@@ -115,21 +115,22 @@ def rw_backward_pairs(a: TransitionMatrix, dy: np.ndarray, f: np.ndarray,
 
         g_ij = dW_ij + dW_ji = alpha (s_i . f_j + s_j . f_i - q_i - q_j)
 
-    One einsum per offset block (see `graph.SparsityPattern`) dots
-    [x | y][window] with [y | x][window + o] for x = alpha [s | q] and
-    y = [f | -1], both directions at once; q against -1 subtracts q_i + q_j."""
+    One einsum per flat shift s (see `graph.SparsityPattern.shifts`)
+    dots [x | y]_p with [y | x]_(p + s) for x = alpha [s | q] and y =
+    [f | -1], both directions at once; q against -1 subtracts q_i + q_j."""
     pattern = a.pattern
     dy, f = _check_outer(pattern, dy, f)
     s = dy / a.degree[:, None]
     q = np.einsum("ic,ic->i", s, af)[:, None]
     x = alpha * np.hstack((s, q))
     y = np.hstack((f, np.full_like(q, -1.0)))
-    grid_shape = (pattern.height, pattern.width, 2 * x.shape[1])
-    left = np.concatenate((x, y), axis=1).reshape(grid_shape)
-    right = np.concatenate((y, x), axis=1).reshape(grid_shape)
-    pairs = np.empty(pattern.num_pairs)
-    for block in pattern.blocks:
-        src = left[block.src]
-        np.einsum("...c,...c->...", src, right[block.dst],
-                  out=pairs[block.start:block.stop].reshape(src.shape[:2]))
+    left = np.concatenate((x, y), axis=1)
+    right = np.concatenate((y, x), axis=1)
+    pairs, dots = np.empty(pattern.num_pairs), np.empty(pattern.num_pixels)
+    dots_grid = dots.reshape(pattern.height, pattern.width)
+    for shift, span, parts in pattern.shifts:
+        np.einsum("ic,ic->i", left[span],
+                  right[span.start + shift:span.stop + shift], out=dots[span])
+        for src, slots in parts:
+            pairs[slots].reshape(dots_grid[src].shape)[...] = dots_grid[src]
     return pairs

@@ -38,6 +38,26 @@ def pair_weights(w, dw):
     return w[:half] * dw[:half] + w[half:] * dw[half:]
 
 
+def rw_backward_pairs_by_window(a, dy, f, af, alpha):
+    """`walk.rw_backward_pairs` with one einsum per offset window, over
+    the (h, w, c) grids of [x | y] and [y | x] (see there), in place of
+    one per flat shift."""
+    pattern = a.pattern
+    s = dy / a.degree[:, None]
+    q = np.einsum("ic,ic->i", s, af)[:, None]
+    x = alpha * np.hstack((s, q))
+    y = np.hstack((f, np.full_like(q, -1.0)))
+    grid_shape = (pattern.height, pattern.width, 2 * x.shape[1])
+    left = np.concatenate((x, y), axis=1).reshape(grid_shape)
+    right = np.concatenate((y, x), axis=1).reshape(grid_shape)
+    pairs = np.empty(pattern.num_pairs)
+    for src, dst, slots in pattern.windows:
+        part = left[src]
+        np.einsum("...c,...c->...", part, right[dst],
+                  out=pairs[slots].reshape(part.shape[:2]))
+    return pairs
+
+
 def numerical_gradient(scalar_fn, array, step=1e-5):
     """Central finite differences of scalar_fn() w.r.t. `array` in place."""
     grad = np.zeros_like(array, dtype=float)

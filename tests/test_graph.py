@@ -279,10 +279,11 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     stack = rng.uniform(0.0, 1.0, (h, w, k))
     theta = rng.normal(0.0, 1.0, k)
 
-    # the blocks list every edge once, each offset pair block by block
+    # the windows list every edge once, each offset's pairs row-major
     pixels = np.arange(h * w).reshape(h, w)
-    src = [pixels[b.src].ravel() for b in pattern.blocks] or [np.empty(0, int)]
-    dst = [pixels[b.dst].ravel() for b in pattern.blocks] or [np.empty(0, int)]
+    empty = [np.empty(0, int)]
+    src = [pixels[s].ravel() for s, _, _ in pattern.windows] or empty
+    dst = [pixels[d].ravel() for _, d, _ in pattern.windows] or empty
     np.testing.assert_array_equal(np.concatenate(src), pattern.rows_h)
     np.testing.assert_array_equal(np.concatenate(dst), pattern.cols_h)
     np.testing.assert_array_equal(np.concatenate(src + dst), pattern.rows)
@@ -313,7 +314,7 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
     da = rw_backward_a(pattern, dy, f)
     np.testing.assert_array_equal(
         da, np.einsum("ec,ec->e", dy[pattern.rows], f[pattern.cols]))
-    # the walk's pair adjoint on the head's W: one dot per block and pair
+    # the walk's pair adjoint on the head's W: one dot per shift and pair
     a = transition(pattern, w_new)
     dw = transition_backward(a, da)
     np.testing.assert_allclose(rw_backward_pairs(a, dy, f, a.matvec(f), 1.0),
@@ -325,32 +326,23 @@ def test_offset_major_layer_matches_gather(h, w, r, k, m, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 9), w=st.integers(1, 9), r=st.integers(1, 10),
-       k=st.integers(1, 4), cap=st.integers(1, 48),
+       k=st.integers(1, 4), band=st.integers(1, 48),
        seed=st.integers(0, 2 ** 16))
-@example(h=1, w=9, r=4, k=2, cap=3, seed=0)
-@example(h=9, w=1, r=4, k=1, cap=2, seed=1)
-@example(h=5, w=6, r=10, k=3, cap=1, seed=2)
-@example(h=8, w=8, r=9, k=4, cap=12, seed=3)
-def test_row_band_runs_match_gather(h, w, r, k, cap, seed):
-    """With the run size cut down, large offset blocks are split into
-    row bands (one-row bands and rows wider than the cap included); the
-    runs still tile the first half in order and give the gathered
-    affinities and dtheta."""
+@example(h=1, w=9, r=4, k=2, band=1, seed=0)
+@example(h=9, w=1, r=4, k=1, band=2, seed=1)
+@example(h=5, w=6, r=10, k=3, band=1, seed=2)
+@example(h=8, w=8, r=9, k=4, band=12, seed=3)
+def test_row_band_runs_match_gather(h, w, r, k, band, seed):
+    """With the band cut down to as little as one pixel, below a grid
+    row, bands end inside a shift and inside an offset's window; the
+    affinities and dtheta still match the gathered reference."""
     rng = np.random.default_rng(seed)
     stack = rng.uniform(0.0, 1.0, (h, w, k))
     theta = rng.normal(0.0, 1.0, k)
-    with mock.patch.object(graph, "_RUN_EDGES", cap):
-        # a fresh build: the memoised pattern keeps the plan it was built with
-        pattern = _build_sparsity.__wrapped__(h, w, r)
-        dw = rng.standard_normal(pattern.num_edges)
-        half = pattern.num_edges // 2
-        covered = 0
-        for slots, fmin in graph._minimum_runs(stack, pattern):
-            assert slots.start == covered and fmin.shape[0] == slots.stop - covered
-            # only a single grid row may exceed the cap
-            assert fmin.shape[0] <= max(cap, w)
-            covered = slots.stop
-        assert covered == half
+    pattern = build_sparsity(h, w, r)
+    dw = rng.standard_normal(pattern.num_edges)
+    half = pattern.num_edges // 2
+    with mock.patch.object(graph, "_BAND_ROWS", band):
         w_new = learned_affinity(stack, pattern, theta)
         dtheta = pair_affinity_backward(stack, pattern,
                                         pair_weights(np.tile(w_new, 2), dw))
@@ -455,57 +447,42 @@ def test_constant_stack_gives_unit_symmetric_affinities(h, w, r, k, scale,
     assert transition(pattern, np.tile(w_new, 2)).symmetric
 
 
-def test_run_plan_partitions_the_blocks():
-    """On every small grid and at the two workload sizes, `runs`
-    partitions `blocks` in order, each run as long as the cap allows,
-    and the blocks, bands of whole window rows, tile the first half of
-    `rows`/`cols`. At 32x32, R40 no window exceeds the cap, so each
-    block is a whole offset; at 64x64, R5 the 40 offset windows are cut
-    into 170 bands. `windows` joins each offset's bands back into its
-    window, one per offset of `neighbor_offsets`, in order."""
-    cap = graph._RUN_EDGES
+def test_shift_plan_covers_every_pair_once():
+    """On every small grid and at the two workload sizes, `windows` is one
+    entry per offset of `neighbor_offsets`, in order, and the shift plan's
+    parts cover every pair slot exactly once, each slot at the pixel p of
+    its shift's grid view whose pair (p, p + s) it is, inside the shift's
+    span. At 32x32, R40 the 1942 offsets fold into 1017 shifts; at 64x64,
+    R5 each of the 40 shifts holds one offset."""
     small = [(h, w, r) for h in range(1, 13) for w in range(1, 13)
              for r in range(1, 7)]
     for h, w, r in small + [(32, 32, 40), (64, 64, 5)]:
         pattern = build_sparsity(h, w, r)
-        flat = [block for run in pattern.runs for block in run]
-        assert len(flat) == len(pattern.blocks)
-        assert all(a is b for a, b in zip(flat, pattern.blocks))
-        for run, after in zip(pattern.runs, pattern.runs[1:] + [None]):
-            size = run[-1].stop - run[0].start
-            assert size <= cap or (len(run) == 1 and size <= w)
-            # runs are filled greedily: the next block did not fit
-            assert after is None or after[0].stop - run[0].start > cap
-        pixels = np.arange(h * w).reshape(h, w)
-        half = pattern.num_edges // 2
-        covered = 0
-        for block in pattern.blocks:
-            src, dst = pixels[block.src], pixels[block.dst]
-            assert block.start == covered and block.stop - covered == src.size
-            assert src.size <= cap or src.shape[0] == 1
-            np.testing.assert_array_equal(src.ravel(),
-                                          pattern.rows[covered:block.stop])
-            np.testing.assert_array_equal(dst.ravel(),
-                                          pattern.cols[covered:block.stop])
-            covered = block.stop
-        assert covered == half
         offsets = graph.neighbor_offsets(h, w, r)
         assert len(pattern.windows) == len(offsets)
-        covered = 0
+        stop = 0
         for (src, dst, slots), (dy, dx) in zip(pattern.windows, offsets):
-            assert slots.start == covered
+            assert slots.start == stop
             assert (dst[0].start - src[0].start,
                     dst[1].start - src[1].start) == (dy, dx)
-            np.testing.assert_array_equal(pixels[src].ravel(),
-                                          pattern.rows_h[slots])
-            np.testing.assert_array_equal(pixels[dst].ravel(),
-                                          pattern.cols_h[slots])
-            covered = slots.stop
-        assert covered == half
-    offsets = {(b.dst[0].start - b.src[0].start, b.dst[1].start - b.src[1].start)
-               for b in build_sparsity(32, 32, 40).blocks}
-    assert len(offsets) == len(build_sparsity(32, 32, 40).blocks) == 1942
-    assert len(build_sparsity(64, 64, 5).blocks) == 170
+            stop = slots.stop
+        assert stop == pattern.num_pairs
+        covered = np.zeros(pattern.num_pairs, dtype=int)
+        pixels = np.arange(h * w).reshape(h, w)
+        for s, span, parts in pattern.shifts:
+            inside = np.zeros(h * w, dtype=bool)
+            inside[span] = True
+            for src, slots in parts:
+                covered[slots] += 1
+                p = pixels[src].ravel()
+                assert inside[p].all() and (p + s < h * w).all()
+                np.testing.assert_array_equal(p, pattern.rows_h[slots])
+                np.testing.assert_array_equal(p + s, pattern.cols_h[slots])
+        assert np.all(covered == 1)
+        assert [s for s, _, _ in pattern.shifts] == sorted(
+            {s for s, _, _ in pattern.shifts})
+    assert len(build_sparsity(32, 32, 40).shifts) == 1017
+    assert len(build_sparsity(64, 64, 5).shifts) == 40
 
 
 def test_offset_major_layer_memory_at_paper_radius():
@@ -526,9 +503,9 @@ def test_offset_major_layer_memory_at_paper_radius():
 
 
 def test_pattern_build_memory_at_paper_radius():
-    """A fresh 32x32, R40 pattern, offset blocks included, is built from
+    """A fresh 32x32, R40 pattern, offset windows included, is built from
     one enumeration of the offsets in under 24 MB: the int64 pixel
-    indices of the blocks and the two int32 edge arrays."""
+    indices of the windows and the two int32 edge arrays."""
     tracemalloc.start()
     try:
         pattern = _build_sparsity.__wrapped__(32, 32, 40)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -529,19 +531,21 @@ def reference_aggregates(a):
 @example(h=9, w=10, r=5, classes=2, weak=0.3, seed=5)
 def test_aggregates_are_the_strong_components_of_each_tile(h, w, r, classes,
                                                            weak, seed):
-    """Each aggregate lies in one tile, its pixels are joined by strong
-    pairs inside it (S_ij >= STRONG_PAIR min(max_k S_ik, max_k S_jk)),
-    and it is maximal: the aggregates are the components scipy's graph
-    labelling finds, in tile order, then by least pixel. A tile with no
-    weak pair inside is one aggregate. Conjugate gradients deflated by
-    them land within `tolerance` of the dense damped fixed point at alpha
-    0.97 and 0.99. The W are random, times `weak` across the segments of
-    random labels, so that pixels whose in-tile pairs are all weak stand
-    alone."""
+    """With the bound on E's factor lifted, each aggregate lies in one
+    tile, its pixels are joined by strong pairs inside it (S_ij >=
+    STRONG_PAIR min(max_k S_ik, max_k S_jk)), and it is maximal: the
+    aggregates are the components scipy's graph labelling finds, in tile
+    order, then by least pixel. A tile with no weak pair inside is one
+    aggregate. Conjugate gradients deflated by `_tile_space`, bound in
+    place, land within `tolerance` of the dense damped fixed point at
+    alpha 0.97 and 0.99. The W are random, times `weak` across the
+    segments of random labels, so that pixels whose in-tile pairs are all
+    weak stand alone."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, (h, w))
     a = segment_transition(labels, r, weak, seed)
-    (z, _, _), _, _ = coarse_space_and_k(a)
+    with mock.patch.object(solver, "COARSE_GROWTH", np.inf):
+        (z, _, _), _, _ = coarse_space_and_k(a)
     aggregate = z.indices
     component, split = reference_aggregates(a)
     tile = tile_of(h, w, r)
@@ -562,6 +566,31 @@ def test_aggregates_are_the_strong_components_of_each_tile(h, w, r, classes,
         y, _ = _symmetric_cg(a, f, cfg, _tile_space)
         exact = (1.0 - alpha) * dense_oracle_solve(a, f, alpha)
         assert np.max(np.abs(y - exact)) < cfg.tolerance
+
+
+def test_salt_and_pepper_tiles_stay_whole():
+    """On salt-and-pepper oracle W (4 classes drawn per pixel, 48x48, R5)
+    the split aggregates would grow E's factor, (band + 1) p, more than
+    COARSE_GROWTH times past the whole tiles' bound, so the tiles stay
+    whole, and deflated CG still lands within `tolerance` of the dense
+    fixed point at alpha 0.99."""
+    labels = np.random.default_rng(0).integers(0, 4, (48, 48))
+    a = oracle_transition(labels, 5)
+    with mock.patch.object(solver, "COARSE_GROWTH", np.inf):
+        (z, _, _), _, _ = coarse_space_and_k(a)
+    split = z.indices
+    band = np.abs(split[a.pattern.rows_h] - split[a.pattern.cols_h]).max()
+    # 12 x 12 tiles, whose band is at most 2 * 12 + 2
+    assert (band + 1) * z.shape[1] > solver.COARSE_GROWTH * 27 * 144
+    z = assert_galerkin(a, *coarse_space_and_k(a))
+    np.testing.assert_array_equal(np.argmax(z != 0, axis=1),
+                                  tile_of(48, 48, 5))
+    f, _ = oracle_scene(labels, CorruptionConfig(seed=0), 4)
+    cfg = SolverConfig(alpha=0.99)
+    y, report = _symmetric_cg(a, f, cfg, _tile_space)
+    assert report["aggregates"] == 144
+    exact = (1.0 - 0.99) * dense_oracle_solve(a, f, 0.99)
+    assert np.max(np.abs(y - exact)) < cfg.tolerance
 
 
 def test_accuracy_improves_monotonically_with_steps():

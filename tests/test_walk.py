@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (damped_series_dense, numerical_gradient,
-                     random_transition, rel_error, transition_backward)
+                     random_transition, rel_error, rw_backward_pairs_by_window,
+                     transition_backward)
 from walkseg import pipeline
 from walkseg.errors import InvalidInputError
 from walkseg.features import FilterBankConfig
@@ -175,6 +176,29 @@ def test_pair_backward_is_the_edge_chain_summed_per_pair(h, w, r, m, mirrored,
     np.testing.assert_allclose(
         rw_backward_pairs(a, dy, f, rw_forward(a, f), alpha),
         alpha * (dw[:half] + dw[half:]), rtol=1e-12, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), r=st.integers(1, 12),
+       m=st.integers(1, 4), alpha=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+@example(h=1, w=9, r=3, m=2, alpha=0.5, seed=0)
+@example(h=9, w=1, r=4, m=1, alpha=0.01, seed=1)
+@example(h=4, w=5, r=12, m=3, alpha=1.0, seed=2)
+@example(h=1, w=1, r=1, m=1, alpha=0.5, seed=3)
+def test_pair_backward_by_shift_is_the_window_einsum(h, w, r, m, alpha, seed):
+    """The flat-shift dots of `rw_backward_pairs` are bit-identical to one
+    einsum per offset window, on 1 x N and N x 1 grids and at radii that
+    reach past the grid: each pair's dot pairs the same two rows."""
+    rng = np.random.default_rng(seed)
+    pattern = build_sparsity(h, w, r)
+    a = transition(pattern, rng.uniform(0.2, 2.0, pattern.num_pairs))
+    dy = rng.standard_normal((h * w, m))
+    f = rng.standard_normal((h * w, m))
+    af = rw_forward(a, f)
+    np.testing.assert_array_equal(
+        rw_backward_pairs(a, dy, f, af, alpha),
+        rw_backward_pairs_by_window(a, dy, f, af, alpha))
 
 
 # ---------------------------------------------------------------------------
