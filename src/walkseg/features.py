@@ -5,9 +5,12 @@ two learned low-level convolution layers are replaced by fixed banks of
 seeded random 3x3 filters with rectification: bank 1 filters the RGB
 channels, bank 2 filters bank 1's responses. The seed is part of the
 configuration, so a feature stack is a pure function of (image, config).
+Each process draws the banks once. They run by row band through one halo
+buffer: bank 1 as one 27-column patch GEMM, bank 2 (f1 > 16) per tap.
 `prepare_stack` is the stack that training and inference both read.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,29 +48,61 @@ def validate_image(image) -> np.ndarray:
     return image
 
 
-def _bank_filters(rng, count: int, in_channels: int) -> np.ndarray:
+def _tap_matrix(filters: np.ndarray) -> np.ndarray:
+    """(cout, cin, 3, 3) filters as a read-only (9 cin, cout) matrix, rows
+    (dy, dx, cin). It is column-major, the layout matmul gives a tap's own view
+    filters[:, :, dy, dx].T, since small GEMMs round differently by layout."""
+    cout, cin = filters.shape[:2]
+    matrix = filters.transpose(0, 2, 3, 1).reshape(cout, 9 * cin)
+    matrix.flags.writeable = False
+    return matrix.T
+
+
+@functools.lru_cache(maxsize=16)
+def _bank_taps(f1: int, f2: int, seed: int) -> tuple:
+    """Both banks' tap matrices, drawn once per (f1, f2, seed), bank 1 first."""
+    rng = np.random.default_rng(seed)
     # fan-in scaled so response magnitudes stay comparable across banks
-    scale = 1.0 / np.sqrt(9.0 * in_channels)
-    return rng.standard_normal((count, in_channels, 3, 3)) * scale
+    return tuple(_tap_matrix(rng.standard_normal((count, cin, 3, 3))
+                             * (1.0 / np.sqrt(9.0 * cin)))
+                 for count, cin in ((f1, 3), (f2, f1)))
 
 
-def _conv3x3(x: np.ndarray, filters: np.ndarray, out: np.ndarray) -> None:
+# Up to 16 input channels take one patch GEMM per band, more a GEMM per tap; at
+# 64x64 patch / per tap took 0.45 at 3 channels, 0.84-0.96 at 16, 1.1-1.6 at 32-64.
+_PATCH_MAX_CIN = 16
+
+
+def _conv3x3(x: np.ndarray, taps: np.ndarray, out: np.ndarray) -> None:
     """Rectified 3x3 correlation (stride 1, symmetric padding) into `out`.
 
-    One GEMM per tap and no patch matrix: viewed flat as
-    ((h + 3)(w + 2), cin) rows, the padded image holds tap (dy, dx) of all
-    outputs in one slice; the 2 junk columns per row are dropped."""
+    Each row band and its halo go into one reused (band + 3, w + 2, cin)
+    buffer, whose flat slice at dy (w + 2) + dx is tap (dy, dx) of the band's
+    outputs (with 2 junk columns per row). Narrow inputs copy the nine into
+    one patch matrix for a GEMM with `taps`, wide ones take a GEMM per tap."""
     (h, w, cin), cout = x.shape, out.shape[2]
-    flat = np.pad(x, ((1, 2), (1, 1), (0, 0)), mode="symmetric").reshape(-1, cin)
-    taps = filters.transpose(2, 3, 1, 0).reshape(9, cin, cout)  # contiguous
-    shifts = [dy * (w + 2) + dx for dy in range(3) for dx in range(3)]
     band = max(1, (1 << 16) // (cout * (w + 2)))  # rows of 512 KiB, in L2
+    pad = np.zeros((min(band, h) + 3, w + 2, cin))
+    flat, m = pad.reshape(-1, cin), min(band, h) * (w + 2)
+    shifts = [dy * (w + 2) + dx for dy in range(3) for dx in range(3)]
+    patch = cin <= _PATCH_MAX_CIN
+    acc, work = np.empty((m, cout)), np.empty((m, 9, cin) if patch else (m, cout))
     for y in range(0, h, band):
-        r0, r1 = y * (w + 2), min(h, y + band) * (w + 2)
-        acc = np.zeros((r1 - r0, cout))
-        for shift, tap in zip(shifts, taps):
-            acc += flat[r0 + shift:r1 + shift] @ tap
-        np.maximum(acc.reshape(-1, w + 2, cout)[:, :-2], 0.0, out=out[y:y + band])
+        b = min(band, h - y)
+        n = b * (w + 2)
+        pad[1:b + 1, 1:-1] = x[y:y + b]
+        pad[[0, b + 1], 1:-1] = x[[max(y - 1, 0), min(y + b, h - 1)]]
+        pad[:b + 2, [0, -1]] = pad[:b + 2, [1, -2]]
+        if patch:
+            for t, shift in enumerate(shifts):
+                work[:n, t] = flat[shift:shift + n]
+            np.matmul(work[:n].reshape(n, -1), taps, out=acc[:n])
+        else:
+            np.matmul(flat[:n], taps[:cin], out=acc[:n])
+            for shift, tap in zip(shifts[1:], taps.reshape(9, cin, cout)[1:]):
+                np.matmul(flat[shift:shift + n], tap, out=work[:n])
+                acc[:n] += work[:n]
+        np.maximum(acc[:n].reshape(b, w + 2, cout)[:, :w], 0.0, out=out[y:y + b])
 
 
 def extract_features(image, bank: FilterBankConfig) -> np.ndarray:
@@ -76,7 +111,7 @@ def extract_features(image, bank: FilterBankConfig) -> np.ndarray:
     Channels are [RGB | bank-1 responses | bank-2 responses]. Bank 2 filters
     bank 1's output, so f1 = 0 requires f2 = 0. Deterministic given
     (image, bank): the filters are drawn from a generator seeded with
-    `bank.seed`, bank 1 first.
+    `bank.seed`, bank 1 first, once per process (see `_bank_taps`).
     """
     image = validate_image(image)
     if bank.f1 < 0 or bank.f2 < 0:
@@ -85,19 +120,18 @@ def extract_features(image, bank: FilterBankConfig) -> np.ndarray:
         raise InvalidInputError("bank 2 filters bank 1 output; f2 > 0 needs f1 > 0")
     stack = np.empty(image.shape[:2] + (bank.num_channels,))
     stack[:, :, :3] = image
-    rng = np.random.default_rng(bank.seed)
     if bank.f1 > 0:
-        _conv3x3(image, _bank_filters(rng, bank.f1, 3), stack[:, :, 3:3 + bank.f1])
+        taps1, taps2 = _bank_taps(bank.f1, bank.f2, bank.seed)
+        _conv3x3(image, taps1, stack[:, :, 3:3 + bank.f1])
         if bank.f2 > 0:
-            _conv3x3(stack[:, :, 3:3 + bank.f1], _bank_filters(rng, bank.f2, bank.f1),
-                     stack[:, :, 3 + bank.f1:])
+            _conv3x3(stack[:, :, 3:3 + bank.f1], taps2, stack[:, :, 3 + bank.f1:])
     return stack
 
 
-def per_channel_normalize(stack: np.ndarray) -> np.ndarray:
+def per_channel_normalize(stack: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Rescale each channel linearly to [0, 1]; constant channels map to 0.
 
-    Idempotent: a second application is a no-op.
+    Idempotent: a second application is a no-op. `out` may be `stack`.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
@@ -106,11 +140,12 @@ def per_channel_normalize(stack: np.ndarray) -> np.ndarray:
     hi = stack.max(axis=(0, 1), keepdims=True)
     span = hi - lo
     span[span == 0.0] = 1.0  # constant channel: (x - lo) / 1 == 0
-    out = stack - lo  # the one new array; the input stays as it was
+    out = np.subtract(stack, lo, out=out)  # without out=, the input stays as it was
     out /= span
     return out
 
 
 def prepare_stack(image, bank: FilterBankConfig) -> np.ndarray:
     """The normalized feature stack of an image, as a model sees it."""
-    return per_channel_normalize(extract_features(image, bank))
+    stack = extract_features(image, bank)
+    return per_channel_normalize(stack, out=stack)
