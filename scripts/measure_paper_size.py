@@ -16,9 +16,9 @@ the SHA-256 of the label map. Where conjugate gradients run it also holds
 their report (products with S, iterations, restarts, aggregates) and the
 coarse space's set-up time, which the solve time includes. The requests
 without `--out-probs` take the labels route: its local affinities count
-as affinities and its certificates as the solve, and `certified` holds
-the pixels certified by the scores and after the local sweep, and those
-left to the full route. Without
+as affinities and its certificates as the solve, `certified` holds the
+pixels certified by the scores and after the local sweeps, and those
+left to the full route, and `sweeps` how many local sweeps ran. Without
 `--checkpoint`, a 131-channel checkpoint is trained first by the brief
 recipe of perfbench's `infer` workload, at seed 11.
 
@@ -87,7 +87,8 @@ def parse_args(argv):
 
 def instrument():
     """Time each pipeline stage and keep conjugate gradients' reports and
-    the labels route's counts. Returns the dict the wrappers fill."""
+    the labels route's counts and sweeps. Returns the dict the wrappers
+    fill."""
     found = {"stages_s": {stage: 0.0 for stage in STAGES.values()}}
 
     def timed(fn, add):
@@ -104,13 +105,21 @@ def instrument():
             found["stages_s"][stage] += seconds
         setattr(pipeline, name, timed(getattr(pipeline, name), add))
     cg, tiles = solver._symmetric_cg, solver._tile_space
-    labels_route = cli.predict_labels
+    labels_route, local_walk = cli.predict_labels, pipeline._local_walk
 
     def predict_labels(*args, **kwargs):
+        found["sweeps"] = 0
         labels, counts = labels_route(*args, **kwargs)
         found["certified"] = counts
         return labels, counts
     cli.predict_labels = predict_labels
+
+    def sweeps(rows, f, alpha, pixels, hops):
+        walk = local_walk(rows, f, alpha, pixels, hops)
+        if walk is not None:
+            found["sweeps"] = max(found["sweeps"], hops)
+        return walk
+    pipeline._local_walk = sweeps
 
     def symmetric_cg(*args):
         y, report = cg(*args)

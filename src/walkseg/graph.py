@@ -50,8 +50,12 @@ from .errors import InvalidInputError
 # 64x64, R5 13.6-13.7 / 14.2-14.4 at 256 and 512, 15.4-16.3 otherwise
 _BAND_ROWS = 512
 
-# `neighbor_affinity` gathers its rows this many edges at a time
-_RUN_EDGES = 1000
+# `neighbor_affinity` gathers its rows this many edges at a time (6 rows
+# at R5). At 375x500, R5, random pixels of a random 131-channel stack
+# (medians of 7-9, five processes, 4000 in two; 2-core host), 250 / 500 /
+# 1000 / 4000 edges took 2.3-2.6 / 2.1-2.4 / 2.6-3.1 / 5.2-5.4 ms for 100
+# rows and 144-167 / 140-164 / 159-191 / 222-224 ms for 6592 rows
+_RUN_EDGES = 500
 
 _EPS = np.finfo(np.float64).eps
 

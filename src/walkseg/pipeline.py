@@ -24,23 +24,23 @@ from .synth import corrupt_unaries, oracle_affinity
 from .training import ModelCheckpoint, unary_forward
 from .walk import certify_labels, rw_step
 
-# `predict_labels` sweeps locally at most LOCAL_SWEEPS times, and only
-# while all the rows of W it gathers hold at most LOCAL_SWEEP_MAX_SHARE of
-# the pattern's pixel pairs. A gathered pair costs about 2.5 times a
+# `predict_labels` sweeps locally while all the rows of W it gathers hold
+# at most LOCAL_SWEEP_MAX_SHARE of the pattern's pixel pairs, the only
+# limit on the number of sweeps. A gathered pair costs about 2.5 times a
 # pattern pair of the full route: at 64x64, R5, 131 channels (152,872
 # pairs, full route 25-28 ms, 2-core host) one sweep took 0.6, 2.1, 3.6
-# and 6.8 ms at shares 0.003, 0.026, 0.052 and 0.105. A second sweep
-# needs the rows of every neighbor of the pixels it takes, about 0.04
-# of the pairs per pixel at that size, and a third about 0.17. On
-# perfbench's `infer` scenes (64 scenes each at seeds 1-12, alpha 0.01)
-# one sweep left pixels on 0-4 scenes per seed, each then 2.2 times as
-# slow as a certified one; with a second sweep a share of 0.04 left 4
-# scenes at seed 1, 0.08 left one and 0.1 none at any seed, and the
-# second sweep took 3-6 ms. At alpha 0.1 (seed 1), 0.1 against 0.04
-# certified 10 more scenes, 50 fell back, and the median scene took 46.4
-# against 45.1 ms (`predict` 43.4 ms).
+# and 6.8 ms at shares 0.003, 0.026, 0.052 and 0.105. Sweep K needs the
+# rows within K - 1 steps of the pixels it takes, at that size about 0.04
+# of the pairs per pixel for K = 2 and 0.17 for K = 3. On perfbench's
+# `infer` scenes (64 scenes each at seeds 1-12, alpha 0.01) a share of
+# 0.04 left 4 scenes to the full route at seed 1, 0.08 one and 0.1 none
+# at any seed, none with a third sweep. At alpha 0.1 (seed 1), 0.1
+# against 0.04 certified 10 more scenes, 50 fell back, and the median
+# scene took 46.4 against 45.1 ms (`predict` 43.4 ms). At 375x500, alpha
+# 0.1, three sweeps certify all 894 pixels f leaves open from 6463 rows
+# (a share of 0.07) in a median 0.79 s and 332 MB; the full route takes
+# 2.26-2.40 s and 465 MB there.
 LOCAL_SWEEP_MAX_SHARE = 0.1
-LOCAL_SWEEPS = 2
 
 
 @dataclass
@@ -120,18 +120,18 @@ def predict_labels(ckpt: ModelCheckpoint, image, steps="converge",
     """`predict`'s label map alone, with affinities only where a label can
     move. Returns (label map, counts).
 
-    `walk.certify_labels` first decides what f alone decides. For the
-    pixels U left, `graph.neighbor_affinity` gives their rows of W, so
-    one local sweep gives (A f)_U and certifies again; for the pixels
-    still open, a second sweep also gathers their neighbors' rows and
-    gives (A^2 f) there (at most LOCAL_SWEEPS sweeps, and no more than
-    `steps`). If any pixel is still open, or the rows would pass
-    LOCAL_SWEEP_MAX_SHARE of the pattern's pairs, `predict`'s route runs
-    on the same stack and f and gives every label. A certified label is
-    the exact walk's, which `predict`'s equals wherever its solve is
-    decided. `counts` holds the pixels certified by f (`scores`) and by
-    the local sweeps (`sweep`), and those left to the full route
-    (`fallback`).
+    `walk.certify_labels` first decides what f alone decides (K = 0).
+    For the pixels U still open after K sweeps, `_local_walk` gathers
+    the rows of W within K steps of U (`graph.neighbor_affinity`), gives
+    A^(K+1) f and y_(K+1) on U, and the certificate runs again. Sweeps
+    go on while a pixel is open, K < `steps` and the gathered rows stay
+    within LOCAL_SWEEP_MAX_SHARE of the pattern's pairs, and end once
+    every row is gathered. If any pixel is still open, `predict`'s route
+    runs on the same stack and f and gives every label. A certified
+    label is the exact walk's, which `predict`'s equals wherever its
+    solve is decided. `counts` holds the pixels certified by f
+    (`scores`) and by the local sweeps (`sweep`), and those left to the
+    full route (`fallback`).
     """
     solver_cfg = solver_cfg or SolverConfig()
     solver_cfg.validate()
@@ -143,21 +143,20 @@ def predict_labels(ckpt: ModelCheckpoint, image, steps="converge",
         return argmax_labels(f, (height, width)), dict(
             scores=f.shape[0], sweep=0, fallback=0)
     alpha = solver_cfg.alpha
-    labels, certain = certify_labels(f, alpha)
-    counts = dict(scores=int(certain.sum()), sweep=0, fallback=0)
-    left = np.flatnonzero(~certain)
+    last = np.inf if steps == "converge" else steps
     pairs = ((height - offsets[:, 0]) * (width - np.abs(offsets[:, 1]))).sum()
     rows = _GatheredRows(stack, radius, ckpt.theta, f.shape[0],
                          2 * len(offsets), LOCAL_SWEEP_MAX_SHARE * pairs)
-    sweeps = LOCAL_SWEEPS if steps == "converge" else min(steps, LOCAL_SWEEPS)
-    for hops in range(1, sweeps + 1):
-        walk = _local_walk(rows, f, alpha, left, hops) if left.size else None
-        if walk is None:
-            break
-        swept, sure = certify_labels(f, alpha, left, *walk, hops=hops)
+    labels = np.empty(f.shape[0], dtype=np.intp)
+    counts = dict(scores=0, sweep=0, fallback=0)
+    left, walk, hops = np.arange(f.shape[0]), (f, 0.0, f), 0
+    while walk is not None:
+        swept, sure = certify_labels(f, alpha, *walk, hops)
         labels[left[sure]] = swept[sure]
-        counts["sweep"] += int(sure.sum())
-        left = left[~sure]
+        counts["sweep" if hops else "scores"] += int(sure.sum())
+        left, hops = left[~sure], hops + 1
+        done = not left.size or hops > last or len(rows.w) == f.shape[0]
+        walk = None if done else _local_walk(rows, f, alpha, left, hops)
     if left.size:
         counts["fallback"] = int(left.size)
         a = _learned_transition(stack, ckpt.theta, radius)

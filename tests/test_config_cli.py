@@ -644,11 +644,12 @@ def test_infer_affinity_dump(smoke_workspace, tmp_path):
 def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
                                          monkeypatch):
     """One feature stack per request. A labels-only request gathers rows
-    of W at most once per local sweep, and builds W for the whole pattern
+    of W at most once per local sweep (`_local_walk` call), sweeps
+    whenever f leaves a pixel open, and builds W for the whole pattern
     once if a pixel falls back to the full route, and otherwise never; an
     affinity dump builds it once."""
     root, data, ckpt, _, overrides = smoke_workspace
-    calls, counts = [], []
+    calls, counts, walks = [], [], []
     # each where `prepare_stack`, `predict` and `predict_labels` look it up
     for module, name in ((features, "extract_features"),
                          (pipeline, "learned_affinity"),
@@ -662,18 +663,23 @@ def test_infer_builds_feature_stack_once(smoke_workspace, tmp_path,
         counts.append(count)
         return labels, count
 
-    labels_route = cli.predict_labels
+    labels_route, local_walk = cli.predict_labels, pipeline._local_walk
     monkeypatch.setattr(cli, "predict_labels", predict_labels)
+    monkeypatch.setattr(pipeline, "_local_walk",
+                        lambda *args: walks.append(args[-1])
+                        or local_walk(*args))
     for image, radius in (("img000.ppm", "2"), ("img001.ppm", "5")):
         argv = ["infer", *overrides, "--checkpoint", str(ckpt),
                 "--image", str(data / "test" / image),
                 "--out-labels", str(tmp_path / "p.pgm"), "--radius", radius]
         calls.clear()
+        walks.clear()
         assert main(argv) == 0
         count = counts.pop()
         swept = calls.count("neighbor_affinity")
-        assert (count["sweep"] > 0) <= swept <= pipeline.LOCAL_SWEEPS * (
-            count["sweep"] + count["fallback"] > 0)
+        assert walks == list(range(1, len(walks) + 1))
+        assert (count["sweep"] > 0) <= swept <= len(walks)
+        assert (len(walks) > 0) == (count["sweep"] + count["fallback"] > 0)
         assert calls == (["extract_features"] + ["neighbor_affinity"] * swept
                          + ["learned_affinity"] * (count["fallback"] > 0))
         calls.clear()

@@ -46,8 +46,8 @@ def test_script_flags_parse(name, commands, tmp_path, monkeypatch):
 def test_paper_size_measurement_runs_small():
     """At 24x24 the paper-size script prints one JSON line per case, each
     with its stage times and peak memory, conjugate gradients' report
-    where they run (alpha 0.99), and the labels route's counts where it
-    runs (without `--out-probs`)."""
+    where they run (alpha 0.99), and the labels route's counts and local
+    sweeps where it runs (without `--out-probs`)."""
     env = dict(os.environ, PYTHONPATH=str(Path(walkseg.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "measure_paper_size.py"),
@@ -63,9 +63,12 @@ def test_paper_size_measurement_runs_small():
         assert 0 < line["stages_s"]["solve"] <= line["total_s"]
         assert ("cg" in line) == (line["alpha"] == 0.99)
         assert ("certified" in line) == (line["case"] in ("labels", "alpha"))
+        assert ("sweeps" in line) == ("certified" in line)
     for line in lines[0], lines[2]:
         assert set(line["certified"]) == {"scores", "sweep", "fallback"}
         assert sum(line["certified"].values()) == 24 * 24
+        swept, left = line["certified"]["sweep"], line["certified"]["fallback"]
+        assert (swept > 0) <= (line["sweeps"] > 0) <= (swept + left > 0)
     assert lines[0]["labels_sha256"] == lines[1]["labels_sha256"]
     # 36 tiles: learned W splits none, oracle W splits those its
     # segment boundaries cross

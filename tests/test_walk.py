@@ -326,13 +326,13 @@ def test_certified_labels_are_the_walks(h, w, r, m, mirrored, alpha, scores,
     linked = np.flatnonzero(np.diff(pattern.indptr) > 0)
     af_error = (np.diff(pattern.indptr).max() + 2) * EPS * np.abs(f).max()
     af, y1 = a.matvec(f), walks[1]
+    one = (af[linked], af_error, y1[linked])
     two = (a.matvec(af)[linked], 2.0 * af_error,
            rw_step(a, f, y1, alpha)[linked])
     for rows, (labels, certain), reached in (
-            (np.arange(n), certify_labels(f, alpha), walks),
-            (linked, certify_labels(f, alpha, linked, af[linked], af_error),
-             walks),
-            (linked, certify_labels(f, alpha, linked, *two, hops=2),
+            (np.arange(n), certify_labels(f, alpha, f, 0.0, f, 0), walks),
+            (linked, certify_labels(f, alpha, *one, 1), walks),
+            (linked, certify_labels(f, alpha, *two, 2),
              walks[:1] + walks[2:])):
         if scores == "tied" and m > 1:
             assert not certain.any()
@@ -351,19 +351,21 @@ def test_certificate_leaves_a_rounding_sized_gap_open():
     pixels at alpha 0.6, one sweep's argmax differs from the fixed
     point's, and neither f nor the sweep certifies it."""
     f = np.array([[1.0, np.nextafter(1.0, 2.0)]])
-    labels, certain = certify_labels(f, 0.5)
+    labels, certain = certify_labels(f, 0.5, f, 0.0, f, 0)
     assert not certain.any()
-    labels, certain = certify_labels(f + [0.0, 1e-12], 0.5)
+    f = f + [0.0, 1e-12]
+    labels, certain = certify_labels(f, 0.5, f, 0.0, f, 0)
     assert certain.all() and labels.tolist() == [1]
     a = transition(build_sparsity(1, 2, 1), np.ones(1))
     f = np.array([[0.0, 1e-12], [1e-12, 0.0]])
-    labels, certain = certify_labels(f, 0.0)
+    labels, certain = certify_labels(f, 0.0, f, 0.0, f, 0)
     assert certain.all() and labels.tolist() == [1, 0]
     af = a.matvec(f)
     assert np.argmax(rw_step(a, f, f, 0.6), axis=1).tolist() == [0, 1]
     assert np.argmax(dense_oracle_solve(a, f, 0.6), axis=1).tolist() == [1, 0]
-    for certificate in (certify_labels(f, 0.6),
-                        certify_labels(f, 0.6, [0, 1], af, 4 * EPS)):
+    for certificate in (certify_labels(f, 0.6, f, 0.0, f, 0),
+                        certify_labels(f, 0.6, af, 4 * EPS,
+                                       rw_step(a, f, f, 0.6), 1)):
         assert not certificate[1].any()
 
 
@@ -386,6 +388,7 @@ def tiny_checkpoint(rng, classes, tied=False):
          seed=0)
 @example(h=1, w=7, r=2, m=2, tied=True, alpha=0.1, steps=1, seed=1)
 @example(h=7, w=1, r=9, m=3, tied=False, alpha=0.7, steps=3, seed=2)
+@example(h=6, w=7, r=1, m=2, tied=True, alpha=0.49, steps="converge", seed=3)
 def test_predict_labels_are_predicts(h, w, r, m, tied, alpha, steps, seed):
     """`predict_labels` gives `predict`'s labels wherever `predict`'s walk
     decides them (within its tolerance), on the loop and on conjugate
@@ -406,7 +409,7 @@ def test_predict_labels_are_predicts(h, w, r, m, tied, alpha, steps, seed):
     sure = decided(y, 2.0 * cfg.tolerance + 1e-9)
     np.testing.assert_array_equal(labels.ravel()[sure],
                                   expected.ravel()[sure])
-    # with no budget on the gathered rows, every sweep runs
+    # with no budget, sweeps run until every row is gathered
     with mock.patch.object(pipeline, "LOCAL_SWEEP_MAX_SHARE", 1e9):
         unbounded, counts = pipeline.predict_labels(ckpt, image, steps, r, cfg)
     assert sum(counts.values()) == h * w
@@ -414,6 +417,24 @@ def test_predict_labels_are_predicts(h, w, r, m, tied, alpha, steps, seed):
         np.testing.assert_array_equal(unbounded, expected)
     np.testing.assert_array_equal(unbounded.ravel()[sure],
                                   expected.ravel()[sure])
+
+
+def test_predict_labels_sweeps_until_the_budget():
+    """On a 1 x 600 line at R1 and alpha 0.1, the last pixels that f
+    leaves open need a third local sweep, which fits the rows' budget:
+    they are certified, none falls back, and the labels are `predict`'s."""
+    rng = np.random.default_rng(16)
+    ckpt = tiny_checkpoint(rng, 2)
+    image = rng.uniform(0.0, 1.0, (1, 600, 3))
+    cfg = SolverConfig(alpha=0.1)
+    with mock.patch.object(pipeline, "_local_walk",
+                           wraps=pipeline._local_walk) as local_walk:
+        labels, counts = pipeline.predict_labels(ckpt, image, "converge", 1,
+                                                 cfg)
+    assert [call.args[-1] for call in local_walk.call_args_list] == [1, 2, 3]
+    assert counts["fallback"] == 0 and counts["sweep"] > 0
+    expected, _ = pipeline.predict(ckpt, image, "converge", 1, cfg)
+    np.testing.assert_array_equal(labels, expected)
 
 
 @settings(max_examples=40, deadline=None)
